@@ -4,6 +4,7 @@ preference oracle that compares tuple-sets without materializing lists."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -75,10 +76,16 @@ def dominates(poset: Poset, t: TupleSet, tp: TupleSet) -> bool:
     k = len(t)
     adj = []
     for a in t:
-        row = [j for j, b in enumerate(tp) if a == b or poset.greater(a, b)]
+        if poset.is_ranking:
+            row = [j for j, b in enumerate(tp) if poset.geq(a, b)]
+        else:
+            below = poset.weakly_below(a)
+            row = [j for j, b in enumerate(tp) if below >> b & 1]
         if not row:
             return False
         adj.append(row)
+    if len(set().union(*adj)) < k:  # Hall's condition fails for all of t
+        return False
     return maximum_bipartite_matching(adj, k) == k
 
 
@@ -319,13 +326,12 @@ class Instance:
         excluded.add(a)
         src = self.source
         if isinstance(src, MasterPoset) and src.completion is None and self.acceptability is None:
-            pos = self.lpo().position
-            remaining = [v for v in range(self.n) if v not in excluded]
-            if len(remaining) < self.d - 1:
+            allowed = (v for v in self.lpo().order if v not in excluded)
+            best = tuple(islice(allowed, self.d - 1))
+            if len(best) < self.d - 1:
                 raise InsufficientAgents(
-                    f"only {len(remaining)} agents available for {self.names[a]}"
+                    f"only {len(best)} agents available for {self.names[a]}"
                 )
-            best = sorted(remaining, key=lambda v: pos[v])[: self.d - 1]
             return tupleset(best)
         for t in self._iter_list(a):
             if not excluded.intersection(t):

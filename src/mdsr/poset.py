@@ -1,12 +1,13 @@
 """Strict partial orders over agents and the parameters computed from them.
 
 Agents are dense 0-based integer indices.  A poset is stored either as a
-ranking (total orders, cheap even for millions of agents) or as transitively
-closed successor sets (general posets built from comparison pairs).
+ranking (a rank array; cheap even for millions of agents) or, when built
+from comparison pairs, as closure bitmasks: about n*n/8 bytes per direction.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -14,7 +15,8 @@ from .errors import CycleDetected, DuplicateContradiction, ValidationError
 
 
 class Poset:
-    """A strict partial order over agents 0..n-1, transitively closed."""
+    """A strict partial order over agents 0..n-1, transitively closed: a
+    rank array, or bit v of _gt[u] and bit u of _lt[v] set iff u > v."""
 
     __slots__ = ("n", "source_pairs", "_rank", "_gt", "_lt")
 
@@ -50,10 +52,17 @@ class Poset:
             return False
         if self._rank is not None:
             return self._rank[u] < self._rank[v]
-        return v in self._gt[u]
+        return bool(self._gt[u] >> v & 1)
 
     def geq(self, u: int, v: int) -> bool:
         return u == v or self.greater(u, v)
+
+    def weakly_below(self, v: int) -> int:
+        """Bitmask of the agents u with v >= u (O(n) for a ranking)."""
+        if self._rank is not None:
+            r = self._rank
+            return sum(1 << u for u in range(self.n) if r[u] >= r[v])
+        return self._gt[v] | 1 << v
 
     def incomparable(self, u: int, v: int) -> bool:
         return u != v and not self.greater(u, v) and not self.greater(v, u)
@@ -62,7 +71,7 @@ class Poset:
         """Number of agents incomparable with v."""
         if self._rank is not None:
             return 0
-        return self.n - 1 - len(self._gt[v]) - len(self._lt[v])
+        return self.n - 1 - self._gt[v].bit_count() - self._lt[v].bit_count()
 
     def kappa(self) -> int:
         """Maximum over agents of the incomparable-agent count."""
@@ -74,21 +83,48 @@ class Poset:
         return self.kappa() == 0
 
     def width(self) -> int:
-        """Size of a maximum antichain (= minimum chain cover)."""
-        if self.n == 0:
+        """Size of a maximum antichain (= minimum chain cover): by Dilworth,
+        n minus a maximum matching of agents to agents below them, seeded
+        greedily from the direct pairs in lpo order."""
+        n = self.n
+        if n == 0:
             return 0
         if self._rank is not None:
             return 1
-        adj = [sorted(self._gt[u]) for u in range(self.n)]
-        matched = maximum_bipartite_matching(adj, self.n)
-        return self.n - matched
+        order, succ = _extract(self.source_pairs, n)
+        match, mate = [-1] * n, [-1] * n
+        for u in order:
+            v = next((v for v in succ[u] if match[v] < 0), -1)
+            if v >= 0:
+                match[v], mate[u] = u, v
+        return n - _augment(self._gt, match, mate)
 
     def successors(self, v: int):
         """All agents strictly below v."""
         if self._rank is not None:
             r = self._rank
             return [u for u in range(self.n) if r[u] > r[v]]
-        return sorted(self._gt[v])
+        return [u for u, bit in enumerate(bin(self._gt[v])[:1:-1]) if bit == "1"]
+
+
+def _extract(pairs: Iterable[tuple[int, int]], n: int):
+    """Extract the smallest-index agent no unextracted agent is directly
+    above, while one exists; return the extracted agents and successors."""
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in pairs:
+        succ[u].append(v)
+        indeg[v] += 1
+    ready = [v for v in range(n) if indeg[v] == 0]  # sorted, so a heap
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return order, succ
 
 
 def validate_poset(pairs: Iterable[tuple[int, int]], n: int) -> Poset:
@@ -96,7 +132,6 @@ def validate_poset(pairs: Iterable[tuple[int, int]], n: int) -> Poset:
 
     Rejects directly contradictory pairs and any cycle the closure implies.
     """
-    direct = [set() for _ in range(n)]
     seen = set()
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
@@ -106,26 +141,19 @@ def validate_poset(pairs: Iterable[tuple[int, int]], n: int) -> Poset:
         if (v, u) in seen:
             raise DuplicateContradiction(f"both ({u},{v}) and ({v},{u}) supplied")
         seen.add((u, v))
-        direct[u].add(v)
-
-    gt = [set() for _ in range(n)]
-    for start in range(n):
-        stack = list(direct[start])
-        reach = gt[start]
-        while stack:
-            v = stack.pop()
-            if v in reach:
-                continue
-            reach.add(v)
-            stack.extend(direct[v])
-        if start in reach:
-            raise CycleDetected(f"pairs imply a cycle through agent {start}")
-
-    lt = [set() for _ in range(n)]
-    for u in range(n):
-        for v in gt[u]:
-            lt[v].add(u)
-    return Poset(n, gt=gt, lt=lt, source_pairs=sorted(seen))
+    direct = sorted(seen)
+    order, succ = _extract(direct, n)
+    if len(order) < n:
+        v = min(set(range(n)).difference(order))
+        raise CycleDetected(f"pairs imply a cycle through or above agent {v}")
+    gt, lt = [0] * n, [0] * n
+    for u in order:
+        for v in succ[u]:
+            lt[v] |= lt[u] | 1 << u
+    for u in reversed(order):
+        for v in succ[u]:
+            gt[u] |= gt[v] | 1 << v
+    return Poset(n, gt=gt, lt=lt, source_pairs=direct)
 
 
 @dataclass(frozen=True)
@@ -145,31 +173,14 @@ def lpo_order(poset: Poset) -> LpoOrder:
     """Greedy extraction of an order satisfying the two locality conditions.
 
     At each step the smallest-index agent not strictly below any remaining
-    agent is extracted; such an agent always exists in a poset.
+    agent is extracted; such an agent always exists in a poset, and it is
+    the same agent when only the direct pairs are considered.
     """
     n = poset.n
     if poset.is_ranking:
         order = sorted(range(n), key=lambda v: poset._rank[v])
-        pos = [0] * n
-        for p, v in enumerate(order):
-            pos[v] = p
-        return LpoOrder(tuple(order), tuple(pos), 0)
-
-    indeg = [len(poset._lt[v]) for v in range(n)]
-    import heapq
-
-    ready = [v for v in range(n) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in poset._gt[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if len(order) != n:
-        raise ValidationError("poset relation is not acyclic")  # unreachable
+    else:
+        order, _ = _extract(poset.source_pairs, n)
     pos = [0] * n
     for p, v in enumerate(order):
         pos[v] = p
@@ -177,38 +188,62 @@ def lpo_order(poset: Poset) -> LpoOrder:
 
 
 def verify_lpo(order: Sequence[int], poset: Poset) -> bool:
-    """Exhaustively check both locality conditions in O(n^2)."""
+    """Check both locality conditions by one mask test per position: no
+    later agent is above it, every one over 2*kappa positions on is below."""
     n = poset.n
     if sorted(order) != list(range(n)):
         return False
-    kappa = poset.kappa()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if poset.greater(order[j], order[i]):
-                return False
-            if j > i + 2 * kappa and not poset.greater(order[i], order[j]):
-                return False
+    if poset.is_ranking:
+        # kappa = 0: every later agent must be below, so order is the ranking.
+        return all(poset._rank[v] == p for p, v in enumerate(order))
+    reach = 2 * poset.kappa() + 1
+    later = far = 0  # agents after position i, and after i + 2*kappa
+    for i in range(n - 1, -1, -1):
+        if i + reach < n:
+            far |= 1 << order[i + reach]
+        v = order[i]
+        if poset._lt[v] & later or far & ~poset._gt[v]:
+            return False
+        later |= 1 << v
     return True
 
 
 def maximum_bipartite_matching(adj: Sequence[Sequence[int]], n_right: int) -> int:
-    """Size of a maximum matching, augmenting-path (Kuhn's) algorithm.
+    """Size of a maximum matching; adj[u] lists the right-side vertices
+    available to left vertex u."""
+    masks = [sum(1 << v for v in set(row)) for row in adj]
+    return _augment(masks, [-1] * n_right, [-1] * len(masks))
 
-    adj[u] lists the right-side vertices available to left vertex u.
+
+def _augment(adj: Sequence[int], match: list[int], mate: list[int]) -> int:
+    """Grow a matching to maximum size by breadth-first augmenting paths;
+    adj[u] masks the right vertices open to left vertex u, match[v] and
+    mate[u] are partners or -1.  Right vertices a failed search reached
+    lead to no free vertex: they stay excluded until the next augmentation.
     """
-    match_right = [-1] * n_right
-
-    def try_augment(u: int, visited: list[bool]) -> bool:
-        for v in adj[u]:
-            if not visited[v]:
-                visited[v] = True
-                if match_right[v] == -1 or try_augment(match_right[v], visited):
-                    match_right[v] = u
-                    return True
-        return False
-
-    size = 0
-    for u in range(len(adj)):
-        if try_augment(u, [False] * n_right):
-            size += 1
-    return size
+    free = sum(1 << v for v, u in enumerate(match) if u < 0)
+    seen = 0
+    for root in [u for u, v in enumerate(mate) if v < 0]:
+        via = {}  # right vertex -> the left vertex that reached it
+        queue = [root]
+        for u in queue:  # the queue grows while it is read
+            reach = adj[u] & ~seen
+            seen |= reach
+            hit = reach & free
+            if hit:
+                v = hit.bit_length() - 1
+                via[v] = u
+                break
+            while reach:
+                v = reach.bit_length() - 1
+                reach ^= 1 << v
+                via[v] = u
+                queue.append(match[v])
+        else:
+            continue
+        free ^= 1 << v
+        seen = 0
+        while v >= 0:  # flip the path back to the root
+            u = via[v]
+            match[v], mate[u], v = u, v, mate[u]
+    return len(mate) - mate.count(-1)

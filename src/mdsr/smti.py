@@ -222,9 +222,9 @@ def _smti_names(smti: SmtiInstance) -> list[str]:
         names.append(f"a[{i + 1}]")
     for j in range(n):
         names.append(f"b[{j + 1}]")
+    ties_of = [smti.man_ties(i) for i in range(n)]
     for j in range(n):
-        for i in range(n):
-            ties = smti.man_ties(i)
+        for i, ties in enumerate(ties_of):
             if j in ties:
                 names.append(f"c[{i + 1},{j + 1}]")
                 names.append(f"c[{i + 1},{j + 2}]")
@@ -287,9 +287,8 @@ def smti_reduce(smti: SmtiInstance) -> SmtiReduction:
     # untied women; then the cut-off pairs.  Keys only need to order the
     # pairs within a single agent's list correctly.
     for i in range(n):
-        block = 0
+        ties = smti.man_ties(i)
         for j in range(n):
-            ties = smti.man_ties(i)
             if j in ties:
                 roles = _tie_role_map(i, j)
                 for r, p in enumerate(TIE_GADGET_PAIR_ORDER):
@@ -302,7 +301,6 @@ def smti_reduce(smti: SmtiInstance) -> SmtiReduction:
                 place(
                     (f"a[{i + 1}]", f"c[{i + 1},{j + 1}]"), (i, 1, j, 1)
                 )
-            block += 1
         roles = {"A": f"a[{i + 1}]"}
         for q in range(2, 7):
             roles[f"X{q}"] = f"x{q}[{i + 1}]"

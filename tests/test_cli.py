@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 from mdsr import serialize_instance, serialize_matching
 from mdsr.cli import run
@@ -85,6 +86,32 @@ def test_stats(tmp_path):
     assert info["algo"] == "strict"
     assert info["lpo_verified"] is True
     assert info["locality_bound"] == 10
+
+
+def test_stats_long_chain_from_pairs(tmp_path):
+    # a0 > a1 > ... with the agents listed in shuffled order, so agent
+    # indices run against the chain
+    n = 2500
+    names = [f"a{i}" for i in range(n)]
+    agents = names[:]
+    random.Random(1).shuffle(agents)
+    doc = {
+        "version": "1",
+        "d": 3,
+        "agents": agents,
+        "source": {
+            "type": "master_poset",
+            "pairs": [[names[i], names[i + 1]] for i in range(n - 1)],
+            "tiebreak": "canonical",
+        },
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, text = invoke(["--json", "stats", "--instance", str(path)])
+    assert code == 0
+    info = json.loads(text)
+    assert info["width"] == 1 and info["kappa"] == 0
+    assert info["lpo_verified"] is True
 
 
 def test_stats_lambda(tmp_path):

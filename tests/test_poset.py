@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,7 +7,13 @@ from mdsr import Poset, lpo_order, verify_lpo
 from mdsr.errors import CycleDetected, DuplicateContradiction, ValidationError
 from mdsr.poset import maximum_bipartite_matching
 
-from util import brute_force_width, random_poset
+from util import (
+    brute_force_width,
+    random_poset,
+    reference_closure,
+    reference_kappa_of,
+    reference_verify_lpo,
+)
 
 
 def test_ranking_total_order():
@@ -98,3 +105,98 @@ def test_maximum_bipartite_matching():
     assert maximum_bipartite_matching([[], []], 2) == 0
     # classic alternating-path case
     assert maximum_bipartite_matching([[0, 1], [0], [1]], 2) == 2
+
+
+def _random_pairs(rng, n):
+    """Pairs along a random line (a poset, with duplicates), sometimes with
+    one stray pair that may reverse a pair, close a cycle, be reflexive or
+    fall out of range."""
+    line = list(range(n))
+    rng.shuffle(line)
+    p = rng.uniform(0.05, 0.6)
+    pairs = [
+        (line[i], line[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < p
+    ]
+    pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 3)))
+    if rng.random() < 0.4:
+        u, v = rng.randrange(n), rng.randrange(n + (rng.random() < 0.2))
+        pairs.insert(rng.randint(0, len(pairs)), (u, v))
+    return pairs
+
+
+def _random_extension(rng, gt):
+    """A random order in which no agent precedes one above it."""
+    left = set(range(len(gt)))
+    order = []
+    while left:
+        ready = sorted(v for v in left if not any(v in gt[u] for u in left))
+        order.append(rng.choice(ready))
+        left.discard(order[-1])
+    return order
+
+
+def test_bitmask_core_matches_reference():
+    rng = random.Random(21)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 30)
+        pairs = _random_pairs(rng, n)
+        try:
+            gt = reference_closure(pairs, n)
+        except ValidationError as exc:
+            with pytest.raises(type(exc)) as got:
+                Poset.from_pairs(pairs, n)
+            assert type(got.value) is type(exc)
+            outcomes.add(type(exc).__name__)
+            continue
+        p = Poset.from_pairs(pairs, n)
+        for u in range(n):
+            assert p.successors(u) == sorted(gt[u])
+            assert p.kappa_of(u) == reference_kappa_of(gt, u)
+            for v in range(n):
+                assert p.greater(u, v) == (v in gt[u])
+        order = list(lpo_order(p).order)
+        assert verify_lpo(order, p) and reference_verify_lpo(order, gt)
+        # linear extensions other than the lpo order, which pass: in any of
+        # them, incomparable agents are at most 2*kappa - 1 positions apart
+        orders = [_random_extension(rng, gt) for _ in range(2)]
+        for _ in range(2):
+            orders.append(rng.sample(order, n))
+        for order in orders:
+            verdict = reference_verify_lpo(order, gt)
+            assert verify_lpo(order, p) == verdict
+            outcomes.add(verdict)
+    # every exception class and both verdicts on permutations occurred
+    assert outcomes >= {
+        "CycleDetected", "DuplicateContradiction", "ValidationError", True, False
+    }
+
+
+def _shuffled_line_pairs(rng, n, levels):
+    """A chain (levels=1) or ladder (levels=2) over shuffled agent indices,
+    given by the pairs between consecutive levels, in shuffled order."""
+    line = list(range(n))
+    rng.shuffle(line)
+    pairs = [
+        (line[i], line[j])
+        for i in range(n - levels)
+        for j in range((i // levels + 1) * levels, (i // levels + 2) * levels)
+    ]
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_large_shuffled_chain_and_ladder(levels):
+    n = 10**4
+    pairs = _shuffled_line_pairs(random.Random(levels), n, levels)
+    start = time.perf_counter()
+    p = Poset.from_pairs(pairs, n)
+    assert p.kappa() == levels - 1
+    lpo = lpo_order(p)
+    assert verify_lpo(lpo.order, p)
+    assert p.width() == levels
+    assert time.perf_counter() - start < 5

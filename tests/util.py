@@ -5,6 +5,7 @@ import random
 
 from mdsr import Instance, Poset
 from mdsr.core import dominates, tupleset
+from mdsr.errors import CycleDetected, DuplicateContradiction, ValidationError
 
 # Six-agent instance where d, e, f share a master list but a, b, c deviate;
 # {{a,b,c},{d,e,f}} is blocked by {a,b,d} while {{a,b,d},{c,e,f}} is stable.
@@ -139,3 +140,52 @@ def brute_force_width(poset: Poset) -> int:
             ):
                 best = max(best, r)
     return best
+
+
+def reference_closure(pairs, n: int) -> list[set]:
+    """gt[u] = the agents strictly below u, by plain set reachability;
+    raises the same exception classes as Poset.from_pairs."""
+    direct = [set() for _ in range(n)]
+    seen = set()
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(f"pair ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise CycleDetected(f"reflexive pair ({u}, {u})")
+        if (v, u) in seen:
+            raise DuplicateContradiction(f"both ({u},{v}) and ({v},{u}) supplied")
+        seen.add((u, v))
+        direct[u].add(v)
+    gt = []
+    for start in range(n):
+        reach = set()
+        stack = list(direct[start])
+        while stack:
+            v = stack.pop()
+            if v not in reach:
+                reach.add(v)
+                stack.extend(direct[v])
+        if start in reach:
+            raise CycleDetected(f"pairs imply a cycle through agent {start}")
+        gt.append(reach)
+    return gt
+
+
+def reference_kappa_of(gt: list[set], v: int) -> int:
+    n = len(gt)
+    return sum(1 for u in range(n) if u != v and u not in gt[v] and v not in gt[u])
+
+
+def reference_verify_lpo(order, gt: list[set]) -> bool:
+    """The two locality conditions checked pairwise, in O(n^2)."""
+    n = len(gt)
+    if sorted(order) != list(range(n)):
+        return False
+    kappa = max((reference_kappa_of(gt, v) for v in range(n)), default=0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if order[i] in gt[order[j]]:
+                return False
+            if j > i + 2 * kappa and order[j] not in gt[order[i]]:
+                return False
+    return True

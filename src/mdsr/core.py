@@ -4,6 +4,7 @@ preference oracle that compares tuple-sets without materializing lists."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
@@ -94,6 +95,15 @@ def canonical_rank(poset: Poset, lpo: LpoOrder, t: TupleSet) -> tuple[int, ...]:
     return tuple(sorted(lpo.position[a] for a in t))
 
 
+def position_key(positions: Iterable[int], n: int) -> int:
+    """Sorted lpo positions read as base-n digits: integer order is the
+    lexicographic order of canonical_rank."""
+    k = 0
+    for p in positions:
+        k = k * n + p
+    return k
+
+
 class Instance:
     """An agent set with dimension d and a preference source.
 
@@ -108,8 +118,7 @@ class Instance:
         self.acceptability = acceptability
         self._index = {name: i for i, name in enumerate(self.names)}
         self._lpo: Optional[LpoOrder] = None
-        self._rank_maps: dict[int, dict] = {}
-        self._master_rank: Optional[dict] = None
+        self._key = None  # the rank oracle, resolved on first use
         self._validate()
 
     # -- construction -----------------------------------------------------
@@ -276,38 +285,38 @@ class Instance:
 
     # -- the preference oracle --------------------------------------------
 
-    def _explicit_rank(self, a: int, lists) -> dict:
-        rank = self._rank_maps.get(a)
-        if rank is None:
-            rank = {t: i for i, t in enumerate(lists[a])}
-            self._rank_maps[a] = rank
-        return rank
+    def rank_key(self, a: int, t: TupleSet) -> int:
+        """Agent a's integer rank of t; smaller = preferred."""
+        if self._key is None:
+            self._key = self._rank_oracle()
+        return self._key(a, t)
 
-    def rank_key(self, a: int, t: TupleSet):
-        """A sortable key; smaller = preferred by agent a."""
+    def _rank_oracle(self):
+        """The integer key function for this source, dispatched once."""
         src = self.source
-        if isinstance(src, Explicit):
-            rank = self._explicit_rank(a, src.lists)
-            try:
-                return rank[t]
-            except KeyError:
-                raise UnacceptableSet(f"{t} not in list of {self.names[a]}") from None
         if isinstance(src, MasterListSets):
-            if self._master_rank is None:
-                self._master_rank = {t: i for i, t in enumerate(src.order)}
-            return self._master_rank[t]
-        if src.completion is not None:
-            rank = self._explicit_rank(a, src.completion)
+            master = {t: i for i, t in enumerate(src.order)}
+            return lambda a, t: master[t]
+        if isinstance(src, MasterPoset) and src.completion is None:
+            pos, n = self.lpo().position, self.n
+            return lambda a, t: position_key(sorted(map(pos.__getitem__, t)), n)
+        lists = src.lists if isinstance(src, Explicit) else src.completion
+        rank_of = cache(lambda a: {t: i for i, t in enumerate(lists[a])})
+
+        def listed(a, t):
             try:
-                return rank[t]
+                return rank_of(a)[t]
             except KeyError:
                 raise UnacceptableSet(f"{t} not in list of {self.names[a]}") from None
-        return canonical_rank(src.poset, self.lpo(), t)
+
+        return listed
 
     def prefers(self, a: int, t: TupleSet, tp: TupleSet) -> bool:
         """True iff agent a strictly prefers t to tp."""
         if t == tp:
             raise ValidationError("prefers requires two different tuple-sets")
+        if len(t) != self.d - 1 or len(tp) != self.d - 1:
+            raise SizeMismatch(f"prefers compares sets of {self.d - 1} agents")
         if a in t or a in tp:
             raise SelfInclusion(f"agent {self.names[a]} occurs in a compared set")
         if self.acceptability is not None:

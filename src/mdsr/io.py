@@ -85,49 +85,61 @@ def parse_instance(text: str) -> Instance:
     names = doc["agents"]
     if not isinstance(d, int) or not isinstance(names, list):
         raise ParseError("field types: d must be int, agents a list")
-    known = set(names)
+    try:
+        known = set(names)
+    except TypeError:
+        raise ParseError("agent names must not be lists or objects") from None
 
     def check_set(t) -> list:
-        if not isinstance(t, list) or not set(t).issubset(known):
-            raise ParseError(f"set {t!r} references undeclared agents")
-        return t
+        try:
+            if isinstance(t, list) and set(t).issubset(known):
+                return t
+        except TypeError:
+            pass
+        raise ParseError(f"set {t!r} references undeclared agents")
+
+    def check_lists(lists, field: str) -> dict:
+        if not (
+            isinstance(lists, dict)
+            and known.issuperset(lists)
+            and all(isinstance(lst, list) for lst in lists.values())
+        ):
+            raise ParseError(f"{field!r} must map declared agents to lists")
+        return {a: [check_set(t) for t in lst] for a, lst in lists.items()}
 
     src = doc["source"]
     kind = src.get("type") if isinstance(src, dict) else None
     acceptability = doc.get("acceptability")
     acc = None
     if acceptability is not None:
-        acc = {a: [check_set(t) for t in sets] for a, sets in acceptability.items()}
+        acc = check_lists(acceptability, "acceptability")
 
     if kind == "explicit":
-        lists = {
-            a: [check_set(t) for t in lst] for a, lst in src["lists"].items()
-        }
-        instance = Instance.explicit(d, names, lists)
+        instance = Instance.explicit(d, names, check_lists(src.get("lists"), "lists"))
         if acc is not None and instance.acceptability is None:
             raise ParseError("acceptability given for complete explicit lists")
         return instance
     if kind == "master_list_sets":
-        return Instance.master_list(d, names, [check_set(t) for t in src["order"]])
+        order = src.get("order")
+        if not isinstance(order, list):
+            raise ParseError("'order' must be a list")
+        return Instance.master_list(d, names, [check_set(t) for t in order])
     if kind == "master_poset":
         index = {name: i for i, name in enumerate(names)}
         if "ranking" in src:
             ranking = check_set(src["ranking"])
             poset = Poset.from_ranking([index[x] for x in ranking])
         elif "pairs" in src:
-            pairs = [
-                (index[u], index[v]) for u, v in (check_set(p) for p in src["pairs"])
-            ]
-            poset = Poset.from_pairs(pairs, len(names))
+            pairs = src["pairs"]
+            if not isinstance(pairs, list) or any(len(check_set(p)) != 2 for p in pairs):
+                raise ParseError("'pairs' must be a list of agent pairs")
+            poset = Poset.from_pairs([(index[u], index[v]) for u, v in pairs], len(names))
         else:
             raise ParseError("master_poset needs either 'ranking' or 'pairs'")
         tiebreak = src.get("tiebreak", "canonical")
         completion = None
         if tiebreak == "explicit":
-            completion = {
-                a: [check_set(t) for t in lst]
-                for a, lst in src.get("completion", {}).items()
-            }
+            completion = check_lists(src.get("completion", {}), "completion")
         elif tiebreak != "canonical":
             raise ParseError(f"unknown tiebreak {tiebreak!r}")
         return Instance.master_poset(d, names, poset, completion, acc)

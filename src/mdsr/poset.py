@@ -158,8 +158,9 @@ def validate_poset(pairs: Iterable[tuple[int, int]], n: int) -> Poset:
 
 @dataclass(frozen=True)
 class LpoOrder:
-    """An agent order where no later agent beats an earlier one, and agents
-    more than 2*kappa positions apart are strictly ordered."""
+    """An agent order where no later agent beats an earlier one.  Agents
+    more than 2*kappa positions apart are then strictly ordered: every agent
+    between two incomparable ones is incomparable with one of the two."""
 
     order: tuple[int, ...]
     position: tuple[int, ...]
@@ -170,7 +171,7 @@ class LpoOrder:
 
 
 def lpo_order(poset: Poset) -> LpoOrder:
-    """Greedy extraction of an order satisfying the two locality conditions.
+    """Greedy extraction of an order where no later agent beats an earlier one.
 
     At each step the smallest-index agent not strictly below any remaining
     agent is extracted; such an agent always exists in a poset, and it is
@@ -188,21 +189,17 @@ def lpo_order(poset: Poset) -> LpoOrder:
 
 
 def verify_lpo(order: Sequence[int], poset: Poset) -> bool:
-    """Check both locality conditions by one mask test per position: no
-    later agent is above it, every one over 2*kappa positions on is below."""
+    """Check by one mask test per position that no later agent is above it;
+    the 2*kappa distance condition follows (see LpoOrder)."""
     n = poset.n
     if sorted(order) != list(range(n)):
         return False
     if poset.is_ranking:
         # kappa = 0: every later agent must be below, so order is the ranking.
         return all(poset._rank[v] == p for p, v in enumerate(order))
-    reach = 2 * poset.kappa() + 1
-    later = far = 0  # agents after position i, and after i + 2*kappa
-    for i in range(n - 1, -1, -1):
-        if i + reach < n:
-            far |= 1 << order[i + reach]
-        v = order[i]
-        if poset._lt[v] & later or far & ~poset._gt[v]:
+    later = 0  # the agents after v
+    for v in reversed(order):
+        if poset._lt[v] & later:
             return False
         later |= 1 << v
     return True

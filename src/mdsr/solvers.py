@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 from typing import Optional
 
 from .core import (
@@ -176,27 +177,25 @@ def _sliding_dp(instance: Instance, k: int, s: int) -> Optional[Matching]:
     order = instance.lpo().order
     n, d = instance.n, instance.d
     pos_to_agent = order
+    rank = instance.rank_key
 
-    def is_blocking_here(cand, assignment) -> bool:
+    def is_blocking_here(cand, limit) -> bool:
         for p in cand:
-            rest = tupleset(pos_to_agent[q] for q in cand if q != p)
-            cur = assignment.get(p)
-            if cur is not None and (
-                rest == cur or not instance.prefers(pos_to_agent[p], rest, cur)
-            ):
+            rest = tuple(sorted(pos_to_agent[q] for q in cand if q != p))
+            if rank(pos_to_agent[p], rest) >= limit.get(p, inf):
                 return False
         return True
 
     def check_range(groups, lo: int, hi: int, settled) -> bool:
-        """True iff no blocking d-set of settled positions in [lo, hi]."""
-        covered = {}
+        """True iff some d-set of settled positions in [lo, hi] blocks."""
+        limit = {}  # position -> rank key of its current partners
         for g in groups:
             for p in g:
-                covered[p] = tupleset(pos_to_agent[q] for q in g if q != p)
+                rest = tupleset(pos_to_agent[q] for q in g if q != p)
+                limit[p] = rank(pos_to_agent[p], rest)
         positions = [p for p in range(max(0, lo), hi + 1) if settled(p)]
-        assignment = {p: covered.get(p) for p in positions}
         for cand in combinations(positions, d):
-            if is_blocking_here(cand, assignment):
+            if is_blocking_here(cand, limit):
                 return True
         return False
 

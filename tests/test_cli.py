@@ -2,6 +2,8 @@ import io
 import json
 import random
 
+import pytest
+
 from mdsr import serialize_instance, serialize_matching
 from mdsr.cli import run
 
@@ -141,6 +143,56 @@ def test_exit_codes(tmp_path):
     big = write_instance(tmp_path, chain_instance(14, 2), "big.json")
     code, _ = invoke(["solve", "--input", big, "--algo", "brute", "--max-n", "4"])
     assert code == 3
+
+
+def _doc(source, agents=("a", "b", "c"), **extra):
+    return dict({"version": "1", "d": 2, "agents": list(agents), "source": source}, **extra)
+
+
+EXPLICIT = {"type": "explicit", "lists": {"a": [["b"], ["c"]], "b": [["a"], ["c"]], "c": [["a"], ["b"]]}}
+PAIRS = {"type": "master_poset", "pairs": [["a", "b"]], "tiebreak": "canonical"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _doc({"type": "explicit"}),
+        _doc(PAIRS, acceptability=[["a", "b"]]),
+        _doc(dict(PAIRS, pairs=[["a", "b", "c"]])),
+        _doc(PAIRS, agents=(["a"], "b", "c")),
+        _doc({"type": "master_list_sets", "order": 5}),
+        _doc(dict(EXPLICIT, lists=dict(EXPLICIT["lists"], z=[["a"]]))),
+    ],
+    ids=[
+        "missing-lists",
+        "acceptability-list",
+        "three-element-pair",
+        "unhashable-name",
+        "order-not-a-list",
+        "lists-undeclared-agent",
+    ],
+)
+def test_malformed_document_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, text = invoke(["stats", "--instance", str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_brute_leaves_low_index_agent_unmatched(tmp_path):
+    doc = {
+        "version": "1",
+        "d": 3,
+        "agents": ["a", "b", "c", "d"],
+        "source": {"type": "master_poset", "ranking": ["b", "c", "d", "a"], "tiebreak": "canonical"},
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    code, text = invoke(["--json", "solve", "--input", str(path), "--algo", "brute"])
+    assert code == 0
+    payload = json.loads(text)
+    assert (payload["verdict"], payload["groups"]) == ("STABLE", [["b", "c", "d"]])
 
 
 def test_gen_gadgets():

@@ -16,6 +16,7 @@ from mdsr import (
 )
 from mdsr.errors import (
     SelfInclusion,
+    SizeMismatch,
     UnacceptableSet,
     ValidationError,
 )
@@ -51,6 +52,15 @@ def test_prefers_rejects_bad_arguments():
         inst.prefers(a, t, t)
     with pytest.raises(SelfInclusion):
         inst.prefers(a, pairs(inst, "a", "b"), t)
+
+
+def test_prefers_rejects_wrong_size_sets():
+    # canonical keys of sets of different sizes would still compare
+    for inst in (intro_instance(), chain_instance(5, 3)):
+        with pytest.raises(SizeMismatch):
+            inst.prefers(0, (1,), (2, 3))
+        with pytest.raises(SizeMismatch):
+            inst.prefers(0, (1, 2), (1, 2, 3))
 
 
 def test_instance_validation():

@@ -1,8 +1,11 @@
 import random
+import time
 
 import pytest
 
 from mdsr import (
+    Instance,
+    Poset,
     brute_force_solve,
     enumerate_stable,
     find_blocking,
@@ -12,8 +15,21 @@ from mdsr import (
     normalize_matching,
 )
 from mdsr.errors import TooLarge, ValidationError
+from mdsr.reductions import OneInThreeFormula, sat_forward_matching, sat_reduce
+from mdsr.solvers import strict_order_solve
+from mdsr.stability import _complete_matchings
 
-from util import chain_instance, intro_instance, random_poset, random_completion_instance
+from util import (
+    chain_instance,
+    intro_instance,
+    plain_enumerate_stable,
+    plain_find_blocking,
+    random_complete_instance,
+    random_completion_instance,
+    random_matching,
+    random_poset,
+    reference_maximal_matchings,
+)
 
 
 def named(inst, *groups):
@@ -121,3 +137,56 @@ def test_incomplete_lists_empty_matching_can_be_stable():
     )
     stable = enumerate_stable(inst)
     assert ((0, 1),) in stable
+
+
+def test_brute_force_leaves_low_index_agent_unmatched():
+    # ranking b > c > d > a: {b, c, d} is the unique stable matching
+    inst = Instance.master_poset(3, list("abcd"), Poset.from_ranking([1, 2, 3, 0]))
+    assert brute_force_solve(inst) == ((1, 2, 3),)
+
+
+def test_complete_matchings_are_the_maximal_matchings():
+    for n in range(2, 9):
+        for d in (2, 3, 4):
+            if d <= n and n % d:
+                got = list(_complete_matchings(n, d))
+                assert sorted(got) == reference_maximal_matchings(n, d)
+                assert len(set(got)) == len(got)
+
+
+KINDS = ("master_list", "ranking", "pairs", "explicit", "completion")
+
+
+def test_find_blocking_matches_plain_scan():
+    rng = random.Random(5)
+    for i in range(150):
+        kind = KINDS[i % len(KINDS)]
+        d = rng.choice((2, 3, 4))
+        n = rng.randint(d, 9 if kind == "completion" else 11)
+        inst = random_complete_instance(rng, kind, n, d)
+        for _ in range(20):
+            m = random_matching(rng, n, d)
+            assert find_blocking(inst, m) == plain_find_blocking(inst, m), (kind, n, d, m)
+        if n <= 9:
+            stable = plain_enumerate_stable(inst)
+            assert enumerate_stable(inst) == stable, (kind, n, d)
+            assert all(find_blocking(inst, m) is None for m in stable)
+
+
+def test_find_blocking_long_chain_is_fast():
+    inst = chain_instance(600, 3)
+    m = strict_order_solve(inst)
+    start = time.perf_counter()
+    assert find_blocking(inst, m) is None
+    assert time.perf_counter() - start < 2.0
+
+
+def test_find_blocking_sat_master_list_is_fast():
+    formula = OneInThreeFormula(
+        6, ((1, 3, 4), (1, 5, 6), (1, 3, 5), (2, 4, 6), (2, 3, 6), (2, 4, 5))
+    )
+    reduction = sat_reduce(formula)
+    m = sat_forward_matching(reduction, [1, 2])
+    start = time.perf_counter()
+    assert find_blocking(reduction.instance, m) is None
+    assert time.perf_counter() - start < 1.0

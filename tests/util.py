@@ -3,9 +3,10 @@
 import itertools
 import random
 
-from mdsr import Instance, Poset
-from mdsr.core import dominates, tupleset
+from mdsr import Instance, Poset, is_blocking
+from mdsr.core import dominates, matching_violations, normalize_matching, tupleset
 from mdsr.errors import CycleDetected, DuplicateContradiction, ValidationError
+from mdsr.stability import _acceptable_groups, _partner_map
 
 # Six-agent instance where d, e, f share a master list but a, b, c deviate;
 # {{a,b,c},{d,e,f}} is blocked by {a,b,d} while {{a,b,d},{c,e,f}} is stable.
@@ -189,3 +190,82 @@ def reference_verify_lpo(order, gt: list[set]) -> bool:
             if j > i + 2 * kappa and order[j] not in gt[order[i]]:
                 return False
     return True
+
+
+def plain_find_blocking(instance: Instance, m):
+    """The least blocking group by the plain scan: is_blocking over every
+    group in index order (the acceptable groups when incomplete)."""
+    problems = matching_violations(instance, m)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    partners = _partner_map(instance, m)
+    if instance.is_complete:
+        groups = itertools.combinations(range(instance.n), instance.d)
+    else:
+        groups = _acceptable_groups(instance)
+    for group in groups:
+        report = is_blocking(instance, m, group, partners)
+        if report is not None:
+            return report
+    return None
+
+
+def reference_maximal_matchings(n: int, d: int) -> list:
+    """Every matching with n // d groups, sorted: each choice of the n % d
+    agents left out, times every partition of the rest into d-sets."""
+
+    def partitions(agents):
+        if not agents:
+            yield ()
+            return
+        for others in itertools.combinations(agents[1:], d - 1):
+            left = tuple(x for x in agents[1:] if x not in others)
+            for tail in partitions(left):
+                yield ((agents[0],) + others,) + tail
+
+    out = []
+    for left_out in itertools.combinations(range(n), n % d):
+        rest = tuple(a for a in range(n) if a not in left_out)
+        out.extend(partitions(rest))
+    return sorted(out)
+
+
+def plain_enumerate_stable(instance: Instance) -> list:
+    """Every stable matching of a complete instance, by the plain scan."""
+    return [
+        m
+        for m in reference_maximal_matchings(instance.n, instance.d)
+        if plain_find_blocking(instance, m) is None
+    ]
+
+
+def random_matching(rng: random.Random, n: int, d: int):
+    """Up to n // d disjoint random groups."""
+    agents = list(range(n))
+    rng.shuffle(agents)
+    k = rng.randint(0, n // d)
+    return normalize_matching(agents[i * d : (i + 1) * d] for i in range(k))
+
+
+def random_complete_instance(rng: random.Random, kind: str, n: int, d: int) -> Instance:
+    """A random complete instance of one source kind: "master_list",
+    "ranking", "pairs", "explicit" or "completion"."""
+    names = [f"a{i}" for i in range(n)]
+    sets = [list(t) for t in itertools.combinations(names, d - 1)]
+    if kind == "master_list":
+        rng.shuffle(sets)
+        return Instance.master_list(d, names, sets)
+    if kind == "ranking":
+        ranking = list(range(n))
+        rng.shuffle(ranking)
+        return Instance.master_poset(d, names, Poset.from_ranking(ranking))
+    if kind == "pairs":
+        return Instance.master_poset(d, names, random_poset(rng, n, rng.uniform(0.2, 0.9)))
+    if kind == "explicit":
+        lists = {}
+        for a in names:
+            own = [t for t in sets if a not in t]
+            rng.shuffle(own)
+            lists[a] = own
+        return Instance.explicit(d, names, lists)
+    return random_completion_instance(rng, n, d, random_poset(rng, n, rng.uniform(0.3, 0.9)))

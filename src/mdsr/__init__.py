@@ -71,6 +71,7 @@ from .solvers import (
     greedy_big_d_solve,
     group_span_bound,
     locality_bound,
+    plan,
     strict_order_solve,
 )
 from .stability import (

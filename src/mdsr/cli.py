@@ -10,7 +10,7 @@ import json
 import sys
 from typing import Optional
 
-from .core import Instance, MasterPoset, Matching
+from .core import MasterPoset
 from .errors import MdsrError, TooLarge, ValidationError
 from .io import (
     parse_instance,
@@ -40,6 +40,7 @@ from .solvers import (
     greedy_big_d_solve,
     group_span_bound,
     locality_bound,
+    plan,
     strict_order_solve,
 )
 from .stability import brute_force_solve, find_blocking
@@ -74,38 +75,11 @@ def _emit(args, out, human: str, payload: dict) -> None:
 
 def _cmd_solve(args, out) -> int:
     instance = parse_instance(_read(args.input))
-    algo = args.algo
-    matching: Optional[Matching] = None
-    verdict = "UNKNOWN"
-    validated = False
-    if algo == "auto":
-        src = instance.source
-        if isinstance(src, MasterPoset) and instance.is_complete:
-            kappa = src.poset.kappa()
-            if kappa == 0:
-                algo = "strict"
-            elif 4 * kappa * 2 ** (4 * kappa) <= instance.d:
-                algo = "greedy"
-            else:
-                algo = "dp"
-        else:
-            algo = "brute"
+    algo = plan(instance) if args.algo == "auto" else args.algo
     if algo == "strict":
         matching = strict_order_solve(instance)
-        verdict = "STABLE"
-        validated = True  # unique by construction
     elif algo == "greedy":
-        result = greedy_big_d_solve(instance)
-        matching = result.matching
-        # The step certificates prove existence; a full blocking scan is
-        # infeasible at scale, so the witness is reported unvalidated.
-        verdict = "UNSTABLE-EXISTS"
-        try:
-            validated = find_blocking(instance, matching, guard=10**6) is None
-            if validated:
-                verdict = "STABLE"
-        except TooLarge:
-            pass
+        matching = greedy_big_d_solve(instance).matching
     elif algo == "dp":
         matching = fpt_dp_solve(
             instance,
@@ -113,17 +87,23 @@ def _cmd_solve(args, out) -> int:
             span=args.span,
             window_cap=args.window_cap,
         )
-        verdict = "STABLE" if matching is not None else "NO-STABLE"
-        validated = matching is not None
-    elif algo == "brute":
+    else:
         matching = brute_force_solve(instance, max_n=args.max_n)
-        verdict = "STABLE" if matching is not None else "NO-STABLE"
-        validated = matching is not None
-    groups = (
-        sorted(sorted(instance.group_names(g)) for g in matching)
-        if matching is not None
-        else None
-    )
+    # Strict blocks are stable by construction, and dp and brute check
+    # what they return.  Greedy's step certificates prove existence, but
+    # its witness is scanned only under the guard; above it the witness
+    # is reported unvalidated.
+    validated = matching is not None
+    if algo == "greedy":
+        try:
+            validated = find_blocking(instance, matching, guard=10**6) is None
+        except TooLarge:
+            validated = False
+    if matching is None:
+        verdict, groups = "NO-STABLE", None
+    else:
+        verdict = "STABLE" if validated else "UNSTABLE-EXISTS"
+        groups = sorted(sorted(instance.group_names(g)) for g in matching)
     _emit(
         args,
         out,
@@ -157,21 +137,13 @@ def _cmd_stats(args, out) -> int:
     info: dict = {"n": instance.n, "d": instance.d}
     src = instance.source
     if isinstance(src, MasterPoset):
-        poset = src.poset
-        kappa = poset.kappa()
-        info["kappa"] = kappa
-        info["width"] = poset.width()
-        info["locality_bound"] = locality_bound(kappa, instance.d)
-        info["window"] = default_window(kappa, instance.d)
-        if kappa == 0 and instance.is_complete:
-            info["algo"] = "strict"
-        elif 4 * kappa * 2 ** (4 * kappa) <= instance.d and instance.is_complete:
-            info["algo"] = "greedy"
-        else:
-            info["algo"] = "dp"
-        info["lpo_verified"] = verify_lpo(instance.lpo().order, poset)
-    else:
-        info["algo"] = "brute"
+        lpo = instance.lpo()
+        info["kappa"] = lpo.kappa
+        info["width"] = src.poset.width()
+        info["locality_bound"] = locality_bound(lpo.kappa, instance.d)
+        info["window"] = default_window(lpo.kappa, instance.d)
+        info["lpo_verified"] = verify_lpo(lpo.order, src.poset)
+    info["algo"] = plan(instance)
     if args.lambda_budget is not None:
         from .distance import deletion_distance
 

@@ -317,6 +317,9 @@ class Instance:
             raise ValidationError("prefers requires two different tuple-sets")
         if len(t) != self.d - 1 or len(tp) != self.d - 1:
             raise SizeMismatch(f"prefers compares sets of {self.d - 1} agents")
+        for s in (t, tp):
+            if list(s) != sorted(set(s)) or s[0] < 0 or s[-1] >= self.n:
+                raise ValidationError(f"{s} is not a sorted set of agents")
         if a in t or a in tp:
             raise SelfInclusion(f"agent {self.names[a]} occurs in a compared set")
         if self.acceptability is not None:
@@ -401,13 +404,22 @@ def is_derived_from_master_list(
     return True
 
 
-def is_derived_from_poset(instance: Instance, poset: Poset) -> bool:
-    """True iff no agent ranks a dominated tuple-set above its dominator."""
+def is_derived_from_poset(
+    instance: Instance, poset: Poset, agents: Optional[Iterable[int]] = None
+) -> bool:
+    """True iff no agent ranks a dominated tuple-set above its dominator.
+    With agents given, only their lists are checked, restricted to the
+    tuple-sets inside agents."""
     lists = _agent_lists(instance)
     if lists is None:
         # Oracle sources are derived by construction.
         return True
-    for lst in lists:
+    keep = None if agents is None else set(agents)
+    for a, lst in enumerate(lists):
+        if keep is not None:
+            if a not in keep:
+                continue
+            lst = [t for t in lst if keep.issuperset(t)]
         for i, t in enumerate(lst):
             for tp in lst[i + 1 :]:
                 if dominates(poset, tp, t):

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .core import Instance, is_derived_from_poset
+from .core import Instance, _agent_lists, is_derived_from_poset, materialize_explicit
 from .errors import BudgetExceeded, TooLarge
 from .poset import Poset
 
@@ -22,7 +22,9 @@ def recover_strict_order(instance: Instance, agents=None) -> Optional[Poset]:
     (then the smallest-index-first topological order is checked in full)
     or there is no generating order.
     """
-    lists = _explicit_lists(instance)
+    if _agent_lists(instance) is None:
+        instance = materialize_explicit(instance)
+    lists = _agent_lists(instance)
     if agents is None:
         agents = list(range(instance.n))
     agents = sorted(agents)
@@ -76,23 +78,9 @@ def recover_strict_order(instance: Instance, agents=None) -> Optional[Poset]:
 
     full = order + [a for a in range(instance.n) if a not in keep]
     candidate = Poset.from_ranking(full)
-    if _derived_on_subset(instance, lists, candidate, keep):
+    if is_derived_from_poset(instance, candidate, keep):
         return candidate
     return None
-
-
-def _derived_on_subset(instance: Instance, lists, poset: Poset, keep) -> bool:
-    from .core import dominates
-
-    for a, lst in enumerate(lists):
-        if a not in keep:
-            continue
-        restricted = [t for t in lst if keep.issuperset(t)]
-        for i, t in enumerate(restricted):
-            for tp in restricted[i + 1 :]:
-                if dominates(poset, tp, t):
-                    return False
-    return True
 
 
 def deletion_distance(instance: Instance, max_budget: Optional[int] = None):
@@ -114,14 +102,3 @@ def deletion_distance(instance: Instance, max_budget: Optional[int] = None):
             if order is not None:
                 return size, list(deleted), order
     raise BudgetExceeded(f"no subset of size <= {max_budget} works")
-
-
-def _explicit_lists(instance: Instance):
-    from .core import Explicit, MasterPoset, materialize_explicit
-
-    src = instance.source
-    if isinstance(src, Explicit):
-        return src.lists
-    if isinstance(src, MasterPoset) and src.completion is not None:
-        return src.completion
-    return _explicit_lists(materialize_explicit(instance))

@@ -42,23 +42,22 @@ def default_window(kappa: int, d: int) -> int:
     return 2 * d * (d - 1) * group_span_bound(kappa, d)
 
 
-def _require_poset(instance: Instance) -> MasterPoset:
-    src = instance.source
-    if not isinstance(src, MasterPoset):
+def _require_poset(instance: Instance) -> None:
+    if not isinstance(instance.source, MasterPoset):
         raise NotStrictOrder("a master-poset source is required")
-    return src
 
 
 def strict_order_solve(instance: Instance) -> Matching:
     """The unique stable matching when the master poset is a strict order:
     consecutive blocks of d agents along the order, the trailing n mod d
     agents unmatched."""
-    src = _require_poset(instance)
-    if not src.poset.is_total():
+    _require_poset(instance)
+    lpo = instance.lpo()
+    if lpo.kappa:
         raise NotStrictOrder("the master poset has incomparable agents")
     if not instance.is_complete:
         raise IncompletePreferences("complete preferences are required")
-    order = instance.lpo().order
+    order = lpo.order
     n, d = instance.n, instance.d
     groups = [tupleset(order[i : i + d]) for i in range(0, n - d + 1, d)]
     return normalize_matching(groups)
@@ -76,24 +75,30 @@ class GreedyResult:
     steps: tuple[GreedyStep, ...]
 
 
+def _greedy_applies(kappa: int, d: int) -> bool:
+    return 4 * kappa * 2 ** (4 * kappa) <= d
+
+
 def greedy_big_d_solve(instance: Instance) -> GreedyResult:
-    """Always-succeeding construction for 4*kappa*2^(4*kappa) <= d.
+    """Always-succeeding construction for complete master-poset instances
+    that meet the large-d precondition of plan() (kappa = 0 included);
+    raises PreconditionViolated on any other.
 
     Repeatedly, among the first d-2*kappa remaining agents in the order,
     build each agent's top group over the remaining agents; some group is
     proposed by at least 4*kappa of them and no later blocking set can
     touch it.  Each step records that multiplicity as its certificate.
     """
-    src = _require_poset(instance)
+    _require_poset(instance)
     if not instance.is_complete:
         raise IncompletePreferences("complete preferences are required")
-    kappa = src.poset.kappa()
-    d = instance.d
-    if 4 * kappa * 2 ** (4 * kappa) > d:
+    lpo = instance.lpo()
+    kappa, d = lpo.kappa, instance.d
+    if not _greedy_applies(kappa, d):
         raise PreconditionViolated(
             f"requires 4*kappa*2^(4*kappa) <= d, got kappa={kappa}, d={d}"
         )
-    order = instance.lpo().order
+    order = lpo.order
     remaining = list(order)
     matched: set[int] = set()
     groups: list[Group] = []
@@ -122,7 +127,6 @@ def fpt_dp_solve(
     window_size: Optional[int] = None,
     span: Optional[int] = None,
     window_cap: int = 18,
-    validate: bool = True,
 ) -> Optional[Matching]:
     """Find a stable matching, or None, by a sliding-window dynamic
     program over the agent order.
@@ -132,13 +136,13 @@ def fpt_dp_solve(
     the search degenerates to an exact scan; larger instances raise
     WindowTooLarge.  Overriding window_size/span runs the genuine sliding
     program; it is exact whenever the window is at least the theoretical
-    bound, and any matching it returns is re-validated when feasible.
+    bound, and any matching it returns is re-validated.
     """
-    src = _require_poset(instance)
+    _require_poset(instance)
     if not instance.is_complete:
         raise IncompletePreferences("complete preferences are required")
     n, d = instance.n, instance.d
-    kappa = src.poset.kappa()
+    kappa = instance.lpo().kappa
     s = span if span is not None else group_span_bound(kappa, d)
     k = window_size if window_size is not None else default_window(kappa, d)
     s = min(s, k)
@@ -154,7 +158,7 @@ def fpt_dp_solve(
         return brute_force_solve(instance, max_n=window_cap)
 
     result = _sliding_dp(instance, k, s)
-    if result is not None and validate:
+    if result is not None:
         report = find_blocking(instance, result)
         if report is not None:
             raise CertificateFailure(
@@ -307,14 +311,31 @@ def _sliding_dp(instance: Instance, k: int, s: int) -> Optional[Matching]:
     )
 
 
+def plan(instance: Instance) -> str:
+    """The algorithm that auto_solve and `mdsr solve` run on an instance.
+
+    "brute" unless the source is a master poset and preferences are
+    complete; then "strict" for a strict order (kappa = 0), "greedy" when
+    4*kappa*2^(4*kappa) <= d, and the window DP ("dp") otherwise.
+    """
+    if not isinstance(instance.source, MasterPoset) or not instance.is_complete:
+        return "brute"
+    kappa = instance.lpo().kappa
+    if kappa == 0:
+        return "strict"
+    return "greedy" if _greedy_applies(kappa, instance.d) else "dp"
+
+
 def auto_solve(instance: Instance) -> Optional[Matching]:
-    """Dispatch on the instance parameters: strict order, then large-d
-    greedy, then the windowed dynamic program."""
-    src = _require_poset(instance)
-    kappa = src.poset.kappa()
-    d = instance.d
-    if kappa == 0 and instance.is_complete:
+    """A stable matching or None, by the algorithm plan(instance) picks,
+    with its default parameters."""
+    algo = plan(instance)
+    if algo == "strict":
         return strict_order_solve(instance)
-    if 4 * kappa * 2 ** (4 * kappa) <= d and instance.is_complete:
+    if algo == "greedy":
         return greedy_big_d_solve(instance).matching
-    return fpt_dp_solve(instance)
+    if algo == "dp":
+        return fpt_dp_solve(instance)
+    from .stability import brute_force_solve
+
+    return brute_force_solve(instance)

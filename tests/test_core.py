@@ -21,7 +21,13 @@ from mdsr.errors import (
     ValidationError,
 )
 
-from util import INTRO_MASTER, chain_instance, intro_instance, random_poset
+from util import (
+    INTRO_MASTER,
+    chain_instance,
+    intro_instance,
+    random_complete_instance,
+    random_poset,
+)
 
 
 def pairs(inst, *names):
@@ -61,6 +67,16 @@ def test_prefers_rejects_wrong_size_sets():
             inst.prefers(0, (1,), (2, 3))
         with pytest.raises(SizeMismatch):
             inst.prefers(0, (1, 2), (1, 2, 3))
+
+
+@pytest.mark.parametrize("kind", ["master_list", "pairs", "explicit"])
+def test_prefers_rejects_malformed_sets(kind):
+    inst = random_complete_instance(random.Random(3), kind, 5, 3)
+    for bad in ((2, 1), (1, 99), (-1, 2), (1, 1)):
+        with pytest.raises(ValidationError):
+            inst.prefers(0, bad, (1, 3))
+        with pytest.raises(ValidationError):
+            inst.prefers(0, (1, 3), bad)
 
 
 def test_instance_validation():

@@ -1,3 +1,6 @@
+import io
+import itertools
+import json
 import random
 
 import pytest
@@ -13,8 +16,11 @@ from mdsr import (
     group_span_bound,
     is_stable,
     locality_bound,
+    plan,
+    serialize_instance,
     strict_order_solve,
 )
+from mdsr.cli import run
 from mdsr.errors import (
     IncompletePreferences,
     NotStrictOrder,
@@ -23,8 +29,10 @@ from mdsr.errors import (
 )
 
 from util import (
+    INTRO_MASTER,
     chain_instance,
     group_spans_ok,
+    intro_instance,
     nostable_poset_instance,
     random_completion_instance,
     random_poset,
@@ -186,7 +194,13 @@ def test_dp_result_is_local():
         checked += 1
 
 
-def test_auto_solve_dispatch():
+def _cli_json(argv):
+    out = io.StringIO()
+    assert run(["--json"] + argv, out) == 0
+    return json.loads(out.getvalue())
+
+
+def test_auto_solve_dispatch(tmp_path):
     chain = chain_instance(6, 3)
     assert auto_solve(chain) == strict_order_solve(chain)
     greedy_inst = two_level_instance(192, 64)
@@ -195,3 +209,33 @@ def test_auto_solve_dispatch():
     dp_inst = nostable_poset_instance()
     assert dp_inst.source.poset.kappa() == 3
     assert auto_solve(dp_inst) is None
+    names = [f"a{i}" for i in range(6)]
+    # kappa = 0, but each agent finds every pair with the agent opposite
+    # it on the ring unacceptable
+    incomplete = Instance.master_poset(
+        3, names, Poset.from_ranking(list(range(6))),
+        acceptability={
+            x: [[names[u], names[v]] for u, v in itertools.combinations(range(6), 2)
+                if i not in (u, v) and (i + 3) % 6 not in (u, v)]
+            for i, x in enumerate(names)
+        },
+    )
+    master = Instance.master_list(3, list("abcdef"), [list(t) for t in INTRO_MASTER])
+    cases = [
+        (chain, "strict"),
+        (greedy_inst, "greedy"),
+        (dp_inst, "dp"),
+        (master, "brute"),
+        (intro_instance(), "brute"),
+        (incomplete, "brute"),
+    ]
+    # mdsr stats, mdsr solve, plan and auto_solve make the same choice
+    for i, (inst, algo) in enumerate(cases):
+        path = tmp_path / f"{i}.json"
+        path.write_text(serialize_instance(inst))
+        solved = _cli_json(["solve", "--input", str(path)])
+        stats = _cli_json(["stats", "--instance", str(path)])
+        assert plan(inst) == solved["algo"] == stats["algo"] == algo
+        got = auto_solve(inst)
+        groups = None if got is None else sorted(sorted(inst.group_names(g)) for g in got)
+        assert groups == solved["groups"]

@@ -11,7 +11,7 @@ import sys
 from typing import Optional
 
 from .core import MasterPoset
-from .errors import MdsrError, TooLarge, ValidationError
+from .errors import MdsrError, ParseError, TooLarge, ValidationError
 from .io import (
     parse_instance,
     parse_matching,
@@ -38,7 +38,6 @@ from .solvers import (
     default_window,
     fpt_dp_solve,
     greedy_big_d_solve,
-    group_span_bound,
     locality_bound,
     plan,
     strict_order_solve,
@@ -178,7 +177,12 @@ def _cmd_reduce_sat(args, out) -> int:
     formula = parse_formula(_read(args.formula))
     reduction = sat_reduce(formula)
     if args.assignment is not None:
-        true_vars = [int(x) for x in args.assignment.split(",") if x]
+        try:
+            true_vars = [int(x) for x in args.assignment.split(",") if x]
+        except ValueError:
+            raise ParseError(
+                f"--assignment takes comma-separated integers, not {args.assignment!r}"
+            ) from None
         matching = sat_forward_matching(reduction, true_vars)
         if args.emit_matching:
             _write(args.output, serialize_matching(reduction.instance, matching), out)
@@ -195,8 +199,6 @@ def _cmd_reduce_sat(args, out) -> int:
 def parse_smti_document(text: str) -> SmtiInstance:
     """JSON schema: {"version":"1","n":int,"tie_starts":[1-based j where
     w_j is tied with w_{j+1}],"acceptable":[[man,woman] 1-based]}."""
-    from .errors import ParseError
-
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -209,16 +211,29 @@ def parse_smti_document(text: str) -> SmtiInstance:
             frozenset(j - 1 for j in doc.get("tie_starts", [])),
             frozenset((i - 1, j - 1) for i, j in doc["acceptable"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed marriage document: {exc}") from None
+
+
+def _parse_marriage(text: str) -> dict:
+    """A JSON list of 1-based [man, woman] pairs, as a 0-based dict."""
+    try:
+        pairs = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
+        for p in pairs
+    ):
+        raise ParseError("a marriage matching is a list of [man, woman] integer pairs")
+    return {i - 1: j - 1 for i, j in pairs}
 
 
 def _cmd_reduce_smti(args, out) -> int:
     smti = parse_smti_document(_read(args.input))
     reduction = smti_reduce(smti)
     if args.matching is not None:
-        pairs = json.loads(_read(args.matching))
-        marriage = {i - 1: j - 1 for i, j in pairs}
+        marriage = _parse_marriage(_read(args.matching))
         matching = smti_forward(reduction, marriage)
         if args.emit_matching:
             _write(args.output, serialize_matching(reduction.instance, matching), out)

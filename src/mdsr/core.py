@@ -26,8 +26,6 @@ Matching = tuple[Group, ...]
 
 EXPLICIT_LIST_LIMIT = 10**6
 
-CANONICAL = "canonical"
-
 
 def tupleset(agents: Iterable[int]) -> TupleSet:
     t = tuple(sorted(agents))

@@ -93,6 +93,8 @@ def deletion_distance(instance: Instance, max_budget: Optional[int] = None):
     n = instance.n
     if max_budget is None:
         max_budget = n - 1
+    if _agent_lists(instance) is None:
+        instance = materialize_explicit(instance)
     for size in range(0, max_budget + 1):
         if comb(n, size) > 2 * 10**5:
             raise TooLarge("deletion-distance search space too large")

@@ -4,6 +4,7 @@ program over the agent order, and the large-d greedy construction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import inf
 from typing import Optional
@@ -137,6 +138,12 @@ def fpt_dp_solve(
     WindowTooLarge.  Overriding window_size/span runs the genuine sliding
     program; it is exact whenever the window is at least the theoretical
     bound, and any matching it returns is re-validated.
+
+    The program reveals one order position r per step, r = 0..n-1, and
+    may close a group ending at r whose members lie within span positions
+    of it.  A position is settled once it is covered, lies more than span
+    positions behind r, or r = n-1; a d-set of settled positions is
+    checked for blocking once, at the step its last member settles.
     """
     _require_poset(instance)
     if not instance.is_complete:
@@ -169,146 +176,81 @@ def fpt_dp_solve(
 
 
 def _sliding_dp(instance: Instance, k: int, s: int) -> Optional[Matching]:
-    """Forward pass over lpo positions with windows of k+1 positions.
-
-    States are frozensets of groups (in order positions) touching the
-    current window, plus the count of positions finalized unmatched.
-    Groups enter when their maximum position is revealed and span at most
-    s positions.  Blocking is checked over settled positions of the range
-    [window start - 1, window end]; a position is settled once no future
-    group can claim it.
+    """One forward pass over lpo positions: step r = 0..n-1 reveals r, and
+    position r-k-1 leaves the window [r-k, r].  A state is the set of
+    groups (in positions) touching the window and the count of positions
+    that left it unmatched; its value is the chain (group, previous) of
+    groups on the first path to reach it.  Each state takes no new group
+    or one ending at r with its other members uncovered in
+    [max(0, r-k, r-s), r).  A position is settled once it is covered,
+    below r+1-s (no later group can claim it), or at the last step, and
+    neither it nor its partners change afterwards; so step r checks only
+    the d-sets of settled positions in [r-k-1, r] holding a newly settled
+    one, and each d-set is checked once, when its last member settles.
     """
-    order = instance.lpo().order
+    order, rank_key = instance.lpo().order, instance.rank_key
     n, d = instance.n, instance.d
-    pos_to_agent = order
-    rank = instance.rank_key
 
-    def is_blocking_here(cand, limit) -> bool:
-        for p in cand:
-            rest = tuple(sorted(pos_to_agent[q] for q in cand if q != p))
-            if rank(pos_to_agent[p], rest) >= limit.get(p, inf):
-                return False
-        return True
+    @cache
+    def rank(p, group):  # position p's rank key of the rest of group
+        return rank_key(order[p], tupleset(order[q] for q in group if q != p))
 
-    def check_range(groups, lo: int, hi: int, settled) -> bool:
-        """True iff some d-set of settled positions in [lo, hi] blocks."""
-        limit = {}  # position -> rank key of its current partners
-        for g in groups:
-            for p in g:
-                rest = tupleset(pos_to_agent[q] for q in g if q != p)
-                limit[p] = rank(pos_to_agent[p], rest)
-        positions = [p for p in range(max(0, lo), hi + 1) if settled(p)]
-        for cand in combinations(positions, d):
-            if is_blocking_here(cand, limit):
-                return True
+    def settled(p, t, covered) -> bool:  # at step t
+        return p in covered or p < t + 1 - s or t == n - 1
+
+    def blocked(limit, old, fresh) -> bool:
+        for i, f in enumerate(fresh):
+            for rest in combinations(old + fresh[:i], d - 1):
+                cand = rest + (f,)
+                if all(rank(p, cand) < limit.get(p, inf) for p in cand):
+                    return True
         return False
 
-    # Initial states: matchings inside positions [0, k].
-    def initial_states():
-        positions = tuple(range(min(k + 1, n)))
-
-        def rec(avail, acc):
-            yield frozenset(acc)
-            if len(avail) >= d:
-                head = avail[0]
-                for others in combinations(avail[1:], d - 1):
-                    if others[-1] - head <= s:
-                        g = (head,) + others
-                        rest = tuple(
-                            x for x in avail[1:] if x not in others
-                        )
-                        acc.append(g)
-                        yield from rec(rest, acc)
-                        acc.pop()
-            # also allow skipping the head (it stays uncovered)
-            if avail:
-                yield from rec(avail[1:], acc)
-
-        seen = set()
-        for state in rec(positions, []):
-            if state not in seen:
-                seen.add(state)
-                yield state
-
-    def settled_after(r: int, covered):
-        # future groups claim positions >= (r + 1) - s; uncovered positions
-        # below that line can never be matched later
-        if r >= n - 1:
-            return lambda p: True
-
-        def settled(p: int) -> bool:
-            return p in covered or p < r + 1 - s
-
-        return settled
-
-    states: dict = {}
-    for st in initial_states():
-        covered = {p for g in st for p in g}
-        settled = settled_after(k, covered)
-        if not check_range(st, 0, min(k, n - 1), settled):
-            states[(st, 0)] = None
-    # predecessor map for reconstruction, keyed by (state key, boundary)
-    parents: dict = {(key, 0): None for key in states}
-
-    final_i = n - 1 - k  # last boundary; window [final_i, n-1]
-    for i in range(0, final_i):
-        next_states: dict = {}
-        r = i + 1 + k  # newly revealed position
-        for (st, unmatched) in states:
-            retained = frozenset(g for g in st if max(g) >= i + 1)
-            covered_ret = {p for g in retained for p in g}
-            drop_unmatched = 1 if i not in {p for g in st for p in g} else 0
-            base_un = unmatched + drop_unmatched
-            if base_un >= d:
-                continue  # d unmatched agents always block
-            options = [(frozenset(), base_un)]
-            pool = [
-                p
-                for p in range(max(i + 1, r - s), r)
-                if p not in covered_ret
-            ]
-            for others in combinations(pool, d - 1):
-                g = others + (r,)
-                options.append((frozenset({g}), base_un))
-            for added, un in options:
-                # blocking is checked against st plus the new group, so a
-                # group dropped at this step still shows its assignment
-                check_groups = st | added
-                covered = {p for g in check_groups for p in g}
-                settled = settled_after(r, covered)
-                if check_range(check_groups, i, r, settled):
+    states: dict = {(frozenset(), 0): None}
+    for r in range(n):
+        lo, layer = max(0, r - k - 1), {}
+        for (groups, unmatched), chain in states.items():
+            covered = {p for g in groups for p in g}
+            if r > k and r - k - 1 not in covered:
+                unmatched += 1
+                if unmatched >= d:
+                    continue  # d unmatched agents always block
+            kept = frozenset(g for g in groups if g[-1] >= r - k)
+            limit = {p: rank(p, g) for g in groups for p in g if p >= lo}
+            old = [p for p in range(lo, r) if settled(p, r - 1, covered)]
+            pending = [p for p in range(lo, r + 1) if not settled(p, r - 1, covered)]
+            free = [p for p in range(max(0, r - k, r - s), r) if p not in covered]
+            for new in [()] + [c + (r,) for c in combinations(free, d - 1)]:
+                fresh = [p for p in pending if p in new or settled(p, r, covered)]
+                if blocked({**limit, **{p: rank(p, new) for p in new}}, old, fresh):
                     continue
-                key = (retained | added, un)
-                if key not in next_states:
-                    next_states[key] = None
-                    parents[(key, i + 1)] = ((st, unmatched), i)
-        states = {key: None for key in next_states}
+                nkey = (kept | {new} if new else kept, unmatched)
+                if nkey not in layer:
+                    layer[nkey] = (new, chain) if new else chain
+        if r == k:  # the first path to a state wins it: fix the order
+            layer = dict(sorted(layer.items(), key=lambda kv: _head_first(kv[0][0])))
+        states = layer
         if not states:
             return None
 
-    # Final acceptance: blocking over the tail was fully checked at the
-    # last reveal, so only the unmatched count remains.
-    best = None
-    for (st, unmatched) in states:
-        covered = {p for g in st for p in g}
-        window_uncovered = sum(
-            1 for p in range(final_i, n) if p not in covered
-        )
-        if unmatched + window_uncovered < d:
-            best = (st, unmatched)
-            break
-    if best is None:
-        return None
+    for (groups, unmatched), chain in states.items():
+        covered = {p for g in groups for p in g}
+        if unmatched + sum(p not in covered for p in range(max(0, n - 1 - k), n)) < d:
+            matching = []
+            while chain is not None:
+                group, chain = chain
+                matching.append(tupleset(order[p] for p in group))
+            return normalize_matching(matching)
+    return None
 
-    # Reconstruct: walk parents collecting all groups ever committed.
-    groups = set(best[0])
-    key, i = best, final_i
-    while parents.get((key, i)) is not None:
-        key, i = parents[(key, i)]
-        groups.update(key[0])
-    return normalize_matching(
-        tupleset(pos_to_agent[p] for p in g) for g in groups
-    )
+
+def _head_first(groups) -> tuple:
+    """Sort key of a first-window matching: depth-first order that tries,
+    at each free position, the groups headed there before skipping it."""
+    heads = {g[0]: g[1:] for g in groups}
+    members = {p for g in groups for p in g[1:]}
+    free = (p for p in range(max(heads, default=-1) + 1) if p not in members)
+    return tuple((0, heads[p]) if p in heads else (1,) for p in free)
 
 
 def plan(instance: Instance) -> str:

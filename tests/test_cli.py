@@ -255,3 +255,32 @@ def test_reduce_smti_round_trip(tmp_path):
     )
     assert code == 0
     assert json.loads(text) == [[1, 1]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smti", "--input", "three_element_pair.json"],
+        ["smti", "--input", "smti.json", "--matching", "not_json.txt"],
+        ["smti", "--input", "smti.json", "--matching", "not_pairs.json"],
+        ["sat", "--formula", "formula.txt", "--assignment", "x"],
+    ],
+    ids=[
+        "three-element-acceptable",
+        "marriage-not-json",
+        "marriage-not-pairs",
+        "assignment-not-int",
+    ],
+)
+def test_malformed_reduce_input_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    smti = {"version": "1", "n": 1, "tie_starts": [], "acceptable": [[1, 1]]}
+    bad = dict(smti, acceptable=[[1, 1, 1]])
+    (tmp_path / "smti.json").write_text(json.dumps(smti))
+    (tmp_path / "three_element_pair.json").write_text(json.dumps(bad))
+    (tmp_path / "not_json.txt").write_text("[[1, 1]")
+    (tmp_path / "not_pairs.json").write_text("[1, 1]")
+    (tmp_path / "formula.txt").write_text("p oit3 3 3\n1 2 3\n1 2 3\n1 2 3\n")
+    code, text = invoke(["reduce"] + argv)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 
-from mdsr import deletion_distance, materialize_explicit, recover_strict_order
+import mdsr.distance
+from mdsr import Instance, deletion_distance, materialize_explicit, recover_strict_order
 from mdsr.errors import BudgetExceeded
 
 from util import chain_instance, deletion_example_instance, intro_instance
@@ -63,3 +67,21 @@ def test_deletion_distance_on_canonical_poset_source():
     inst = chain_instance(6, 3)
     dist, deleted, _ = deletion_distance(inst)
     assert dist == 0 and deleted == []
+
+
+def test_deletion_distance_materializes_once(monkeypatch):
+    # a shuffled master list is far from every strict order, so many
+    # subsets are tried; the explicit lists are built once for all of them
+    sets = [list(t) for t in itertools.combinations("abcdef", 2)]
+    random.Random(3).shuffle(sets)
+    inst = Instance.master_list(3, list("abcdef"), sets)
+    calls = []
+
+    def counted(instance):
+        calls.append(instance)
+        return materialize_explicit(instance)
+
+    monkeypatch.setattr(mdsr.distance, "materialize_explicit", counted)
+    dist, _, _ = deletion_distance(inst)
+    assert dist >= 2
+    assert len(calls) == 1

@@ -21,12 +21,14 @@ from mdsr import (
     strict_order_solve,
 )
 from mdsr.cli import run
+from mdsr.core import matching_violations
 from mdsr.errors import (
     IncompletePreferences,
     NotStrictOrder,
     PreconditionViolated,
     WindowTooLarge,
 )
+from mdsr.solvers import _sliding_dp
 
 from util import (
     INTRO_MASTER,
@@ -36,6 +38,7 @@ from util import (
     nostable_poset_instance,
     random_completion_instance,
     random_poset,
+    reference_sliding_dp,
 )
 
 
@@ -137,6 +140,36 @@ def test_dp_sliding_matches_brute_force():
         assert (want is None) == (got is None)
         if got is not None:
             assert is_stable(inst, got)
+        checked += 1
+
+
+def test_sliding_dp_matches_reference():
+    # The one-loop DP against the earlier design kept in util, on windows
+    # below n - 1, sound or not: the same answer (so the same verdict), and
+    # a result that is a matching whose groups span at most s positions.
+    rng = random.Random(11)
+    checked = 0
+    while checked < 150:
+        d = rng.choice([2, 3])
+        n = rng.randint(d + 3, 12)
+        poset = random_poset(rng, n, rng.uniform(0.5, 0.95))
+        if poset.kappa() > 3:
+            continue
+        if n <= 8:
+            inst = random_completion_instance(rng, n, d, poset)
+        else:
+            inst = Instance.master_poset(d, [f"a{i}" for i in range(n)], poset)
+        pos = inst.lpo().position
+        windows = {(1, 1), (2, 2), (3, 1), (n // 2, 2), (n - 2, 3)}
+        if n <= 8:
+            windows.add((n - 2, n - 2))
+        for k, s in windows:
+            got = _sliding_dp(inst, k, s)
+            assert got == reference_sliding_dp(inst, k, s)
+            if got is not None:
+                assert not matching_violations(inst, got)
+                spans = [max(pos[a] for a in g) - min(pos[a] for a in g) for g in got]
+                assert max(spans, default=0) <= s
         checked += 1
 
 

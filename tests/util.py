@@ -2,9 +2,18 @@
 
 import itertools
 import random
+from itertools import combinations
+from math import inf
+from typing import Optional
 
 from mdsr import Instance, Poset, is_blocking
-from mdsr.core import dominates, matching_violations, normalize_matching, tupleset
+from mdsr.core import (
+    Matching,
+    dominates,
+    matching_violations,
+    normalize_matching,
+    tupleset,
+)
 from mdsr.errors import CycleDetected, DuplicateContradiction, ValidationError
 from mdsr.stability import _acceptable_groups, _partner_map
 
@@ -269,3 +278,148 @@ def random_complete_instance(rng: random.Random, kind: str, n: int, d: int) -> I
             lists[a] = own
         return Instance.explicit(d, names, lists)
     return random_completion_instance(rng, n, d, random_poset(rng, n, rng.uniform(0.3, 0.9)))
+
+
+# The sliding-window DP as it stood before the one-loop rewrite, kept
+# verbatim as the reference for the differential test.
+def reference_sliding_dp(instance: Instance, k: int, s: int) -> Optional[Matching]:
+    """Forward pass over lpo positions with windows of k+1 positions.
+
+    States are frozensets of groups (in order positions) touching the
+    current window, plus the count of positions finalized unmatched.
+    Groups enter when their maximum position is revealed and span at most
+    s positions.  Blocking is checked over settled positions of the range
+    [window start - 1, window end]; a position is settled once no future
+    group can claim it.
+    """
+    order = instance.lpo().order
+    n, d = instance.n, instance.d
+    pos_to_agent = order
+    rank = instance.rank_key
+
+    def is_blocking_here(cand, limit) -> bool:
+        for p in cand:
+            rest = tuple(sorted(pos_to_agent[q] for q in cand if q != p))
+            if rank(pos_to_agent[p], rest) >= limit.get(p, inf):
+                return False
+        return True
+
+    def check_range(groups, lo: int, hi: int, settled) -> bool:
+        """True iff some d-set of settled positions in [lo, hi] blocks."""
+        limit = {}  # position -> rank key of its current partners
+        for g in groups:
+            for p in g:
+                rest = tupleset(pos_to_agent[q] for q in g if q != p)
+                limit[p] = rank(pos_to_agent[p], rest)
+        positions = [p for p in range(max(0, lo), hi + 1) if settled(p)]
+        for cand in combinations(positions, d):
+            if is_blocking_here(cand, limit):
+                return True
+        return False
+
+    # Initial states: matchings inside positions [0, k].
+    def initial_states():
+        positions = tuple(range(min(k + 1, n)))
+
+        def rec(avail, acc):
+            yield frozenset(acc)
+            if len(avail) >= d:
+                head = avail[0]
+                for others in combinations(avail[1:], d - 1):
+                    if others[-1] - head <= s:
+                        g = (head,) + others
+                        rest = tuple(
+                            x for x in avail[1:] if x not in others
+                        )
+                        acc.append(g)
+                        yield from rec(rest, acc)
+                        acc.pop()
+            # also allow skipping the head (it stays uncovered)
+            if avail:
+                yield from rec(avail[1:], acc)
+
+        seen = set()
+        for state in rec(positions, []):
+            if state not in seen:
+                seen.add(state)
+                yield state
+
+    def settled_after(r: int, covered):
+        # future groups claim positions >= (r + 1) - s; uncovered positions
+        # below that line can never be matched later
+        if r >= n - 1:
+            return lambda p: True
+
+        def settled(p: int) -> bool:
+            return p in covered or p < r + 1 - s
+
+        return settled
+
+    states: dict = {}
+    for st in initial_states():
+        covered = {p for g in st for p in g}
+        settled = settled_after(k, covered)
+        if not check_range(st, 0, min(k, n - 1), settled):
+            states[(st, 0)] = None
+    # predecessor map for reconstruction, keyed by (state key, boundary)
+    parents: dict = {(key, 0): None for key in states}
+
+    final_i = n - 1 - k  # last boundary; window [final_i, n-1]
+    for i in range(0, final_i):
+        next_states: dict = {}
+        r = i + 1 + k  # newly revealed position
+        for (st, unmatched) in states:
+            retained = frozenset(g for g in st if max(g) >= i + 1)
+            covered_ret = {p for g in retained for p in g}
+            drop_unmatched = 1 if i not in {p for g in st for p in g} else 0
+            base_un = unmatched + drop_unmatched
+            if base_un >= d:
+                continue  # d unmatched agents always block
+            options = [(frozenset(), base_un)]
+            pool = [
+                p
+                for p in range(max(i + 1, r - s), r)
+                if p not in covered_ret
+            ]
+            for others in combinations(pool, d - 1):
+                g = others + (r,)
+                options.append((frozenset({g}), base_un))
+            for added, un in options:
+                # blocking is checked against st plus the new group, so a
+                # group dropped at this step still shows its assignment
+                check_groups = st | added
+                covered = {p for g in check_groups for p in g}
+                settled = settled_after(r, covered)
+                if check_range(check_groups, i, r, settled):
+                    continue
+                key = (retained | added, un)
+                if key not in next_states:
+                    next_states[key] = None
+                    parents[(key, i + 1)] = ((st, unmatched), i)
+        states = {key: None for key in next_states}
+        if not states:
+            return None
+
+    # Final acceptance: blocking over the tail was fully checked at the
+    # last reveal, so only the unmatched count remains.
+    best = None
+    for (st, unmatched) in states:
+        covered = {p for g in st for p in g}
+        window_uncovered = sum(
+            1 for p in range(final_i, n) if p not in covered
+        )
+        if unmatched + window_uncovered < d:
+            best = (st, unmatched)
+            break
+    if best is None:
+        return None
+
+    # Reconstruct: walk parents collecting all groups ever committed.
+    groups = set(best[0])
+    key, i = best, final_i
+    while parents.get((key, i)) is not None:
+        key, i = parents[(key, i)]
+        groups.update(key[0])
+    return normalize_matching(
+        tupleset(pos_to_agent[p] for p in g) for g in groups
+    )

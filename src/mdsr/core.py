@@ -402,22 +402,55 @@ def is_derived_from_master_list(
     return True
 
 
+def _swaps(lst: Sequence[TupleSet], pool: Sequence[int]):
+    """(u, v) for each entry t, member u of t and agent v of pool outside t
+    with t - u + v also on lst and ranked after t: lst puts u above v."""
+    rank = {t: i for i, t in enumerate(lst)}
+    for r, t in enumerate(lst):
+        for i, u in enumerate(t):
+            rest = t[:i] + t[i + 1 :]
+            for v in pool:
+                if v not in t and rank.get(tuple(sorted(rest + (v,))), -1) > r:
+                    yield u, v
+
+
 def is_derived_from_poset(
     instance: Instance, poset: Poset, agents: Optional[Iterable[int]] = None
 ) -> bool:
     """True iff no agent ranks a dominated tuple-set above its dominator.
     With agents given, only their lists are checked, restricted to the
-    tuple-sets inside agents."""
+    tuple-sets inside agents.
+
+    A list holding all C(|agents| - 1, d - 1) sets is complete, and is
+    derived iff no single swap it orders, u above v, has v > u in the
+    poset.  Each such swap is a violation: t - u + v dominates t.
+    Conversely, if t' dominates t, take the bijection s from t' onto t and
+    walk x, s(x), s(s(x)), ... from any x in t' - t until it leaves t'; it
+    stops at some y in t - t' with x > y.  Swapping x for y, and fixing
+    the walk's members, leaves a bijection with one fewer mismatch, so
+    downward single swaps lead from t' to t through sets inside t | t',
+    all on a complete list.  If t ranks above t', some step of that chain
+    is ranked upward: a swap with v > u.  This costs O(L (d-1) n) lookups
+    for a list of L sets.  Incomplete lists may miss the chain's sets, so
+    they compare every pair of entries with dominates: one bipartite
+    matching each, O(L^2) in all.
+    """
     lists = _agent_lists(instance)
     if lists is None:
         # Oracle sources are derived by construction.
         return True
     keep = None if agents is None else set(agents)
+    pool = range(instance.n) if keep is None else sorted(keep)
+    full = comb(max(len(pool) - 1, 0), instance.d - 1)
     for a, lst in enumerate(lists):
         if keep is not None:
             if a not in keep:
                 continue
             lst = [t for t in lst if keep.issuperset(t)]
+        if len(lst) == full:
+            if any(poset.greater(v, u) for u, v in _swaps(lst, pool)):
+                return False
+            continue
         for i, t in enumerate(lst):
             for tp in lst[i + 1 :]:
                 if dominates(poset, tp, t):

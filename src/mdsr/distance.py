@@ -7,77 +7,37 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .core import Instance, _agent_lists, is_derived_from_poset, materialize_explicit
-from .errors import BudgetExceeded, TooLarge
-from .poset import Poset
+from .core import Instance, _agent_lists, _swaps, is_derived_from_poset, materialize_explicit
+from .errors import BudgetExceeded, TooLarge, ValidationError
+from .poset import Poset, lpo_order
 
 
 def recover_strict_order(instance: Instance, agents=None) -> Optional[Poset]:
     """A strict total order of `agents` from which their lists are derived,
     or None if no such order exists.
 
-    Single-element swaps force the direction of each agent pair: if some
-    agent ranks t = S + {u} above t' = S + {v}, any generating order must
-    put u above v.  The forced pairs either orient every pair acyclically
-    (then the smallest-index-first topological order is checked in full)
-    or there is no generating order.
+    Single swaps force the direction of each agent pair: if some agent
+    ranks t = S + {u} above t' = S + {v}, any generating order must put u
+    above v.  A cycle or contradiction among the forced pairs means there
+    is no generating order; otherwise their smallest-index-first extension
+    is checked by is_derived_from_poset, which on complete lists is the
+    same single-swap rule and on incomplete ones the pairwise check.
     """
     if _agent_lists(instance) is None:
         instance = materialize_explicit(instance)
     lists = _agent_lists(instance)
-    if agents is None:
-        agents = list(range(instance.n))
-    agents = sorted(agents)
+    agents = sorted(range(instance.n) if agents is None else agents)
     keep = set(agents)
-    sub = {a: i for i, a in enumerate(agents)}
-    n = len(agents)
-
-    above = [set() for _ in range(n)]  # above[u] holds v with u forced > v
-    for a, lst in enumerate(lists):
-        if a not in keep:
-            continue
-        restricted = [t for t in lst if keep.issuperset(t)]
-        rank = {t: i for i, t in enumerate(restricted)}
-        for t in restricted:
-            for u in t:
-                for v in agents:
-                    if v == a or v in t:
-                        continue
-                    tp = tuple(sorted(set(t) - {u} | {v}))
-                    ru, rv = rank[t], rank.get(tp)
-                    if rv is None:
-                        continue
-                    if ru < rv:
-                        above[sub[u]].add(sub[v])
-                    elif rv < ru:
-                        above[sub[v]].add(sub[u])
-
-    for u in range(n):
-        if any(u in above[v] for v in above[u]):
-            return None
-
-    # Topological extension, smallest original index first among the free.
-    indeg = [0] * n
-    for u in range(n):
-        for v in above[u]:
-            indeg[v] += 1
-    import heapq
-
-    ready = [u for u in range(n) if indeg[u] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(agents[u])
-        for v in above[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != n:
+    pairs = set()
+    for a in agents:
+        pairs.update(_swaps([t for t in lists[a] if keep.issuperset(t)], agents))
+    try:
+        lpo = lpo_order(Poset.from_pairs(pairs, instance.n))
+    except ValidationError:
         return None
-
-    full = order + [a for a in range(instance.n) if a not in keep]
-    candidate = Poset.from_ranking(full)
+    # Agents outside keep have no pairs and leave the extraction in index
+    # order; the candidate ranks them last.
+    candidate = Poset.from_ranking(sorted(lpo.order, key=lambda v: v not in keep))
     if is_derived_from_poset(instance, candidate, keep):
         return candidate
     return None

@@ -166,8 +166,12 @@ def parse_matching(text: str, instance: Instance) -> Matching:
         raise ParseError("missing 'groups' list")
     out = []
     for g in groups:
+        if not isinstance(g, list):
+            raise ParseError(f"group {g!r} must be a list of agent names")
         try:
             out.append(tuple(sorted(instance.index(x) for x in g)))
         except KeyError as exc:
             raise ParseError(f"unknown agent {exc.args[0]!r} in matching") from None
+        except TypeError:
+            raise ParseError(f"group {g!r} must be a list of agent names") from None
     return tuple(sorted(out))

@@ -1,13 +1,16 @@
 """Blocking-set search and brute-force stable-matching enumeration.
 
-find_blocking works on the integer keys of Instance.rank_key in two phases.
-Master lists and canonical posets rank tuple-sets by one shared key, so a
-pruned search first decides whether any group blocks: master lists walk
-the master order and anchor each group at its member with the best current
-partners; canonical posets build groups in lpo order, cutting a branch once
-an earlier member cannot gain.  Only if some group blocks, or at once for
-explicit lists and completions, a scan in index order finds the least.
-The guard still bounds C(n, d) for every complete source.
+Both work on the integer keys of Instance.rank_key over one list of
+candidate groups: every d-set for complete preferences, else the groups
+acceptable to all their members.  A group blocks iff each member's key
+for the others beats its key for its current partners.  Master lists and
+canonical posets rank tuple-sets by one shared key, so find_blocking first
+decides by a pruned search whether any group blocks: master lists walk the
+master order and anchor each group at its member with the best current
+partners; canonical posets build groups in lpo order, cutting a branch
+once an earlier member cannot gain.  Only if some group blocks, or at once
+for other sources, a scan of the candidates in index order finds the
+least.  The guard still bounds C(n, d) for every complete source.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, inf
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import Group, Instance, MasterListSets, MasterPoset, Matching
-from .core import matching_violations, normalize_matching, position_key, tupleset
+from .core import matching_violations, position_key, tupleset
 from .errors import TooLarge, ValidationError
 
 
@@ -69,28 +72,26 @@ def find_blocking(
 
     guard bounds C(n, d) on complete instances, before any key is computed.
     Master lists and canonical posets return None unless the pruned search
-    finds a blocking group; then, or at once for explicit lists, the index-
-    order scan finds the least.  Incomplete instances scan acceptable groups.
+    finds a blocking group; then, or at once for other sources, the index-
+    order scan of the candidate groups finds the least.
     """
     problems = matching_violations(instance, m)
     if problems:
         raise ValidationError("; ".join(problems))
     partners = _partner_map(instance, m)
     n, d = instance.n, instance.d
-    if not instance.is_complete:
-        reports = (is_blocking(instance, m, g, partners) for g in _acceptable_groups(instance))
-        return next(filter(None, reports), None)
-    if comb(n, d) > guard:
+    if instance.is_complete and comb(n, d) > guard:
         raise TooLarge("too many candidate groups to scan")
     key = instance.rank_key
     cur = [key(a, partners[a]) if a in partners else inf for a in range(n)]
     src = instance.source
-    if isinstance(src, MasterListSets) and not _master_list_blocked(key, src.order, cur):
-        return None
-    if isinstance(src, MasterPoset) and src.completion is None:
-        if not _canonical_blocked(instance.lpo().order, cur, d):
+    if instance.is_complete:
+        if isinstance(src, MasterListSets) and not _master_list_blocked(key, src.order, cur):
             return None
-    for group in combinations(range(n), d):
+        if isinstance(src, MasterPoset) and src.completion is None:
+            if not _canonical_blocked(instance.lpo().order, cur, d):
+                return None
+    for group in _candidate_groups(instance):
         if all(key(a, group[:i] + group[i + 1 :]) < cur[a] for i, a in enumerate(group)):
             return is_blocking(instance, m, group, partners)
     return None
@@ -155,10 +156,18 @@ def _acceptable_groups(instance: Instance) -> list[Group]:
     )
 
 
-def _complete_matchings(n: int, d: int) -> Iterator[Matching]:
-    """All matchings with exactly n // d groups (agents sorted within and
-    between groups): the first free agent anchors a new group or, while
-    fewer than n % d agents are left out, stays unmatched."""
+def _candidate_groups(instance: Instance) -> Iterable[Group]:
+    """The groups that can block or be matched, in lexicographic order."""
+    if instance.is_complete:
+        return combinations(range(instance.n), instance.d)
+    return _acceptable_groups(instance)
+
+
+def _matchings(n: int, d: int, spare: int, allowed=None) -> Iterator[Matching]:
+    """Every matching of groups from allowed (any d-set if None), agents
+    sorted within and between groups, leaving at most spare agents out
+    before fewer than d are free: the first free agent anchors a new group
+    or, while spare lasts, stays unmatched."""
 
     def rec(free: tuple[int, ...], spare: int, acc: list) -> Iterator[Matching]:
         if len(free) < d:
@@ -167,6 +176,8 @@ def _complete_matchings(n: int, d: int) -> Iterator[Matching]:
         head, rest = free[0], free[1:]
         for others in combinations(rest, d - 1):
             group = (head,) + others
+            if allowed is not None and group not in allowed:
+                continue
             remaining = tuple(x for x in rest if x not in others)
             acc.append(group)
             yield from rec(remaining, spare, acc)
@@ -174,57 +185,29 @@ def _complete_matchings(n: int, d: int) -> Iterator[Matching]:
         if spare:
             yield from rec(rest, spare - 1, acc)
 
-    yield from rec(tuple(range(n)), n % d, [])
-
-
-def _incomplete_matchings(instance: Instance) -> Iterator[Matching]:
-    groups = _acceptable_groups(instance)
-    by_min = {}
-    for g in groups:
-        by_min.setdefault(g[0], []).append(g)
-
-    n = instance.n
-
-    def rec(a: int, used: set, acc: list) -> Iterator[Matching]:
-        if a == n:
-            yield normalize_matching(acc)
-            return
-        if a in used:
-            yield from rec(a + 1, used, acc)
-            return
-        yield from rec(a + 1, used, acc)  # leave a unmatched
-        for g in by_min.get(a, ()):
-            if used.isdisjoint(g):
-                used.update(g)
-                acc.append(g)
-                yield from rec(a + 1, used, acc)
-                acc.pop()
-                used.difference_update(g)
-
-    yield from rec(0, set(), [])
+    yield from rec(tuple(range(n)), spare, [])
 
 
 def enumerate_stable(instance: Instance, max_n: int = 12) -> list[Matching]:
     """All stable matchings, sorted; exponential, guarded by max_n.
 
-    With complete preferences any matching leaving d or more agents
-    unmatched is blocked by them, so only maximal matchings are scanned,
-    against a table of every group's (member, key of the rest) pairs.
+    Matchings are scanned against a table of every candidate group's
+    (member, key of the rest) pairs.  With complete preferences any
+    matching leaving d or more agents unmatched is blocked by them, so only
+    maximal matchings are scanned; incomplete ones scan every matching of
+    acceptable groups.
     """
     if instance.n > max_n:
         raise TooLarge(f"n={instance.n} exceeds the enumeration guard {max_n}")
-    if not instance.is_complete:
-        return sorted(
-            {m for m in _incomplete_matchings(instance) if find_blocking(instance, m) is None}
-        )
     n, d, key = instance.n, instance.d, instance.rank_key
     table = {
         g: tuple((a, key(a, g[:i] + g[i + 1 :])) for i, a in enumerate(g))
-        for g in combinations(range(n), d)
+        for g in _candidate_groups(instance)
     }
     rows = list(table.values())
+    spare, allowed = (n % d, None) if instance.is_complete else (n, table)
     stable = []
-    for m in _complete_matchings(n, d):
+    for m in _matchings(n, d, spare, allowed):
         cur = [inf] * n
         for g in m:
             for a, k in table[g]:

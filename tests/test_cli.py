@@ -180,6 +180,25 @@ def test_malformed_document_exits_2(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("group", [5, None, [["a"], "b", "c"]], ids=["int", "null", "nested-list"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--instance", "instance.json", "--matching", "m.json"],
+        ["reduce", "sat", "--formula", "formula.txt", "--extract", "m.json"],
+    ],
+    ids=["check", "reduce-extract"],
+)
+def test_malformed_matching_group_exits_2(tmp_path, monkeypatch, capsys, argv, group):
+    monkeypatch.chdir(tmp_path)
+    write_instance(tmp_path, intro_instance())
+    (tmp_path / "formula.txt").write_text("p oit3 3 3\n1 2 3\n1 2 3\n1 2 3\n")
+    (tmp_path / "m.json").write_text(json.dumps({"version": "1", "groups": [group]}))
+    code, text = invoke(argv)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_solve_brute_leaves_low_index_agent_unmatched(tmp_path):
     doc = {
         "version": "1",

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import mdsr.core
+
 from mdsr import (
     Instance,
     Poset,
@@ -26,6 +28,7 @@ from util import (
     chain_instance,
     intro_instance,
     random_complete_instance,
+    random_completion_instance,
     random_poset,
 )
 
@@ -140,8 +143,31 @@ def test_intro_derivation_from_chain():
     chain = Poset.from_ranking(list(range(6)))
     # agent a ranks {b,d} above the dominating {b,c}
     assert not is_derived_from_poset(inst, chain)
+    assert is_derived_from_poset(inst, chain, [])
     canonical = materialize_explicit(chain_instance(6, 3))
     assert is_derived_from_poset(canonical, chain)
+
+
+def test_complete_lists_are_checked_without_dominates(monkeypatch):
+    rng = random.Random(4)
+    poset = random_poset(rng, 7, 0.4)
+    inst = random_completion_instance(rng, 7, 3, poset)
+    completion = {
+        inst.names[a]: [inst.group_names(t) for t in lst]
+        for a, lst in enumerate(inst.source.completion)
+    }
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dominates(*args)
+
+    monkeypatch.setattr(mdsr.core, "dominates", counted)
+    assert is_derived_from_poset(inst, poset)
+    Instance.master_poset(3, inst.names, poset, completion)
+    # a complete list that breaks the poset is also caught by single swaps
+    assert not is_derived_from_poset(intro_instance(), Poset.from_ranking(list(range(6))))
+    assert calls == []
 
 
 def test_canonical_rank_orders_position_vectors():

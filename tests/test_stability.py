@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -17,7 +18,7 @@ from mdsr import (
 from mdsr.errors import TooLarge, ValidationError
 from mdsr.reductions import OneInThreeFormula, sat_forward_matching, sat_reduce
 from mdsr.solvers import strict_order_solve
-from mdsr.stability import _complete_matchings
+from mdsr.stability import _acceptable_groups, _matchings
 
 from util import (
     chain_instance,
@@ -28,6 +29,7 @@ from util import (
     random_completion_instance,
     random_matching,
     random_poset,
+    reference_matchings,
     reference_maximal_matchings,
 )
 
@@ -149,9 +151,38 @@ def test_complete_matchings_are_the_maximal_matchings():
     for n in range(2, 9):
         for d in (2, 3, 4):
             if d <= n and n % d:
-                got = list(_complete_matchings(n, d))
+                got = list(_matchings(n, d, n % d))
                 assert sorted(got) == reference_maximal_matchings(n, d)
                 assert len(set(got)) == len(got)
+
+
+def _random_incomplete_instance(rng: random.Random, n: int, d: int) -> Instance:
+    """Random acceptable sets per agent, never all of them, ranked by
+    shuffled explicit lists or by a random strict order."""
+    names = [f"a{i}" for i in range(n)]
+    keep = rng.uniform(0.3, 0.9)
+    acceptable = {}
+    for a in names:
+        own = [list(t) for t in itertools.combinations(names, d - 1) if a not in t]
+        rng.shuffle(own)
+        acceptable[a] = [t for t in own[1:] if rng.random() < keep]
+    if rng.random() < 0.5:
+        return Instance.explicit(d, names, acceptable)
+    order = Poset.from_ranking(rng.sample(range(n), n))
+    return Instance.master_poset(d, names, order, acceptability=acceptable)
+
+
+def test_enumerate_stable_incomplete_matches_plain_scan():
+    rng = random.Random(8)
+    for _ in range(60):
+        d = rng.choice((2, 3))
+        n = rng.randint(d, 9)
+        inst = _random_incomplete_instance(rng, n, d)
+        every = reference_matchings(_acceptable_groups(inst))
+        stable = [m for m in every if plain_find_blocking(inst, m) is None]
+        assert enumerate_stable(inst) == stable, (n, d)
+        for m in rng.sample(every, min(len(every), 10)):
+            assert find_blocking(inst, m) == plain_find_blocking(inst, m), (n, d, m)
 
 
 KINDS = ("master_list", "ranking", "pairs", "explicit", "completion")

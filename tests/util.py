@@ -9,7 +9,9 @@ from typing import Optional
 from mdsr import Instance, Poset, is_blocking
 from mdsr.core import (
     Matching,
+    _agent_lists,
     dominates,
+    materialize_explicit,
     matching_violations,
     normalize_matching,
     tupleset,
@@ -423,3 +425,117 @@ def reference_sliding_dp(instance: Instance, k: int, s: int) -> Optional[Matchin
     return normalize_matching(
         tupleset(pos_to_agent[p] for p in g) for g in groups
     )
+
+
+# The derivation check and strict-order recovery as they stood before the
+# single-swap rule, kept verbatim as references for the differential test.
+def reference_is_derived_from_poset(
+    instance: Instance, poset: Poset, agents=None
+) -> bool:
+    """True iff no agent ranks a dominated tuple-set above its dominator.
+    With agents given, only their lists are checked, restricted to the
+    tuple-sets inside agents."""
+    lists = _agent_lists(instance)
+    if lists is None:
+        # Oracle sources are derived by construction.
+        return True
+    keep = None if agents is None else set(agents)
+    for a, lst in enumerate(lists):
+        if keep is not None:
+            if a not in keep:
+                continue
+            lst = [t for t in lst if keep.issuperset(t)]
+        for i, t in enumerate(lst):
+            for tp in lst[i + 1 :]:
+                if dominates(poset, tp, t):
+                    return False
+    return True
+
+
+def reference_recover_strict_order(instance: Instance, agents=None) -> Optional[Poset]:
+    """A strict total order of `agents` from which their lists are derived,
+    or None if no such order exists.
+
+    Single-element swaps force the direction of each agent pair: if some
+    agent ranks t = S + {u} above t' = S + {v}, any generating order must
+    put u above v.  The forced pairs either orient every pair acyclically
+    (then the smallest-index-first topological order is checked in full)
+    or there is no generating order.
+    """
+    if _agent_lists(instance) is None:
+        instance = materialize_explicit(instance)
+    lists = _agent_lists(instance)
+    if agents is None:
+        agents = list(range(instance.n))
+    agents = sorted(agents)
+    keep = set(agents)
+    sub = {a: i for i, a in enumerate(agents)}
+    n = len(agents)
+
+    above = [set() for _ in range(n)]  # above[u] holds v with u forced > v
+    for a, lst in enumerate(lists):
+        if a not in keep:
+            continue
+        restricted = [t for t in lst if keep.issuperset(t)]
+        rank = {t: i for i, t in enumerate(restricted)}
+        for t in restricted:
+            for u in t:
+                for v in agents:
+                    if v == a or v in t:
+                        continue
+                    tp = tuple(sorted(set(t) - {u} | {v}))
+                    ru, rv = rank[t], rank.get(tp)
+                    if rv is None:
+                        continue
+                    if ru < rv:
+                        above[sub[u]].add(sub[v])
+                    elif rv < ru:
+                        above[sub[v]].add(sub[u])
+
+    for u in range(n):
+        if any(u in above[v] for v in above[u]):
+            return None
+
+    # Topological extension, smallest original index first among the free.
+    indeg = [0] * n
+    for u in range(n):
+        for v in above[u]:
+            indeg[v] += 1
+    import heapq
+
+    ready = [u for u in range(n) if indeg[u] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(agents[u])
+        for v in above[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(ready, v)
+    if len(order) != n:
+        return None
+
+    full = order + [a for a in range(instance.n) if a not in keep]
+    candidate = Poset.from_ranking(full)
+    if reference_is_derived_from_poset(instance, candidate, keep):
+        return candidate
+    return None
+
+
+def reference_matchings(groups) -> list:
+    """Every set of pairwise disjoint groups from a sorted list, as sorted
+    matchings: each group is left out or, if disjoint from those taken,
+    taken."""
+    out = []
+
+    def rec(i: int, used: frozenset, acc: tuple) -> None:
+        if i == len(groups):
+            out.append(acc)
+            return
+        rec(i + 1, used, acc)
+        if used.isdisjoint(groups[i]):
+            rec(i + 1, used | set(groups[i]), acc + (groups[i],))
+
+    rec(0, frozenset(), ())
+    return sorted(out)

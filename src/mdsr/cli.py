@@ -206,10 +206,15 @@ def parse_smti_document(text: str) -> SmtiInstance:
     if not isinstance(doc, dict) or doc.get("version") != "1":
         raise ParseError("marriage document must be an object with version '1'")
     try:
+        n, acceptable = doc["n"], doc["acceptable"]
+        tie_starts = doc.get("tie_starts", [])
+        numbers = [n, *tie_starts, *(x for p in acceptable for x in p)]
+        if not all(type(x) is int for x in numbers):
+            raise TypeError("n, tie starts and pairs must be integers")
         return SmtiInstance(
-            doc["n"],
-            frozenset(j - 1 for j in doc.get("tie_starts", [])),
-            frozenset((i - 1, j - 1) for i, j in doc["acceptable"]),
+            n,
+            frozenset(j - 1 for j in tie_starts),
+            frozenset((i - 1, j - 1) for i, j in acceptable),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed marriage document: {exc}") from None

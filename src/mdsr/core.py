@@ -257,6 +257,11 @@ class Instance:
                 if t in seen:
                     raise ValidationError(f"duplicate entry {t} for {self.names[a]}")
                 seen.add(t)
+            if self.acceptability is not None and not self.acceptability[a] <= seen:
+                missing = sorted(self.acceptability[a] - seen)
+                raise ValidationError(
+                    f"acceptable sets {missing} missing from the list of {self.names[a]}"
+                )
 
     def _validate_master_list(self, src: MasterListSets) -> None:
         n, d = self.n, self.d

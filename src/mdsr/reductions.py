@@ -1,12 +1,16 @@
 """The six-agent instance without a stable matching, and the reduction
 from exactly-one-in-three satisfiability to triple roommates with a
-master list."""
+master list.
+
+The six-agent instance is one table, `INSTABLE_MASTER`; the reduction
+embeds it for every variable occurrence through a role map from its
+agent names onto x[i,k] and z[i,k,1..5]."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .core import Instance, Matching, normalize_matching, tupleset
 from .errors import (
@@ -201,21 +205,10 @@ def sat_reduce(formula: OneInThreeFormula) -> SatReduction:
         for k in (1, 2, 3):
             # The six-agent unsolvable pattern on x[i,k] and z[i,k,1..5],
             # then the pairs with z[i,k,6] at the tail.
-            xa, z1, z2, z3, z4, z5, z6 = (
-                x(i, k),
-                z(i, k, 1),
-                z(i, k, 2),
-                z(i, k, 3),
-                z(i, k, 4),
-                z(i, k, 5),
-                z(i, k, 6),
-            )
-            master += [
-                (xa, z1), (xa, z2), (xa, z3), (xa, z5), (z1, z4), (z2, z3),
-                (xa, z4), (z1, z5), (z2, z4), (z1, z3), (z3, z4), (z1, z2),
-                (z2, z5), (z3, z5), (z4, z5), (xa, z6), (z1, z6), (z2, z6),
-                (z3, z6), (z4, z6), (z5, z6),
-            ]
+            six = (x(i, k),) + tuple(z(i, k, p) for p in range(1, 6))
+            role = dict(zip(INSTABLE_NAMES, six))
+            master += [(role[u], role[v]) for u, v in INSTABLE_MASTER]
+            master += [(a, z(i, k, 6)) for a in six]
     placed = {tupleset(p) for p in master}
     rest = [
         p

@@ -1,19 +1,19 @@
 """Marriage-with-ties instances under two master lists, the reduction to
-incomplete triple roommates, and the two standalone gadgets it uses."""
+incomplete triple roommates, and the two standalone gadgets it uses.
+
+Each gadget (man-woman edge, tie, cut-off) is one table: its triples and
+its pair order, in role names.  The reduction embeds every gadget through
+one role map, and one list builder turns triples into preference lists
+for the reduction and the standalone gadgets alike."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
-from .core import Instance, Matching, normalize_matching, tupleset
-from .errors import (
-    MalformedSmti,
-    NotPerfect,
-    NotStable,
-    NotWellFormed,
-)
+from .core import Instance, Matching, normalize_matching
+from .errors import MalformedSmti, NotPerfect, NotStable, NotWellFormed
 from .poset import Poset
 
 # ---------------------------------------------------------------------------
@@ -61,32 +61,41 @@ CUTOFF_TRIPLES = (
 )
 
 
+def _explicit_from_triples(
+    names: list[str],
+    triples: Iterable[tuple[str, str, str]],
+    pair_key: dict,
+) -> Instance:
+    """The incomplete-list instance whose agents accept exactly the given
+    triples.  Each agent ranks its pairs by pair_key (keyed by frozenset),
+    then the pairs without a key by the order of names."""
+    agent_rank = {a: r for r, a in enumerate(names)}
+
+    def key(pair):
+        k = pair_key.get(frozenset(pair))
+        return (0, k) if k is not None else (1, sorted(agent_rank[x] for x in pair))
+
+    pairs: dict[str, set] = {a: set() for a in names}
+    for t in triples:
+        for a in t:
+            pairs[a].add(tuple(sorted(set(t) - {a})))
+    lists = {a: [list(p) for p in sorted(ps, key=key)] for a, ps in pairs.items()}
+    return Instance.explicit(3, names, lists)
+
+
 def _gadget_instance(
     agent_order: tuple[str, ...],
     pair_order: tuple[tuple[str, str], ...],
     triples: Iterable[tuple[str, str, str]],
     drop: Iterable[str] = (),
 ) -> Instance:
-    """Build an incomplete-list instance from acceptable triples, ordering
-    each agent's pairs by the given pair order; pairs absent from it are
-    appended ranked by the strict agent order."""
+    """A gadget standalone: its triples without the dropped roles, listed
+    by the gadget's pair order, then by its strict agent order."""
     drop = set(drop)
     triples = [t for t in triples if not drop.intersection(t)]
     names = [a for a in agent_order if any(a in t for t in triples)]
-    pair_rank = {frozenset(p): r for r, p in enumerate(pair_order)}
-    agent_rank = {a: r for r, a in enumerate(agent_order)}
-
-    def key(pair):
-        r = pair_rank.get(frozenset(pair))
-        if r is not None:
-            return (0, r)
-        return (1, tuple(sorted(agent_rank[x] for x in pair)))
-
-    lists = {}
-    for a in names:
-        pairs = {tuple(sorted(set(t) - {a})) for t in triples if a in t}
-        lists[a] = [list(p) for p in sorted(pairs, key=key)]
-    return Instance.explicit(3, names, lists)
+    pair_key = {frozenset(p): r for r, p in enumerate(pair_order)}
+    return _explicit_from_triples(names, triples, pair_key)
 
 
 def tie_gadget_instance(drop: Iterable[str] = ()) -> Instance:
@@ -211,18 +220,13 @@ class SmtiReduction:
 
 
 def _smti_names(smti: SmtiInstance) -> list[str]:
+    """The agent names in master order."""
     n = smti.n
-    names = []
-    gadgets = [(i, j) for i in range(n) for j in smti.man_ties(i)]
-    gadgets.sort()
-    for i, j in gadgets:
-        for p in range(1, 9):
-            names.append(f"d{p}[{i + 1},{j + 1}]")
-    for i in range(n):
-        names.append(f"a[{i + 1}]")
-    for j in range(n):
-        names.append(f"b[{j + 1}]")
     ties_of = [smti.man_ties(i) for i in range(n)]
+    gadgets = sorted((i, j) for i in range(n) for j in ties_of[i])
+    names = [f"d{p}[{i + 1},{j + 1}]" for i, j in gadgets for p in range(1, 9)]
+    names += [f"a[{i + 1}]" for i in range(n)]
+    names += [f"b[{j + 1}]" for j in range(n)]
     for j in range(n):
         for i, ties in enumerate(ties_of):
             if j in ties:
@@ -231,14 +235,13 @@ def _smti_names(smti: SmtiInstance) -> list[str]:
                 names.append(f"cp[{i + 1},{j + 1}]")
             elif (i, j) in smti.acceptable and j - 1 not in ties:
                 names.append(f"c[{i + 1},{j + 1}]")
-    for i in range(n):
-        for q in range(2, 7):
-            names.append(f"x{q}[{i + 1}]")
+    names += [f"x{q}[{i + 1}]" for i in range(n) for q in range(2, 7)]
     return names
 
 
-def _tie_role_map(i: int, j: int) -> dict:
-    """Role names of the tie gadget for man i and tie start j (0-based)."""
+def _roles(i: int, j: int) -> dict:
+    """Agent names of every gadget role for man i and woman j (0-based):
+    the edge and tie roles at woman j, the cut-off roles of man i."""
     roles = {
         "A": f"a[{i + 1}]",
         "B": f"b[{j + 1}]",
@@ -247,78 +250,48 @@ def _tie_role_map(i: int, j: int) -> dict:
         "C1": f"c[{i + 1},{j + 2}]",
         "CP": f"cp[{i + 1},{j + 1}]",
     }
-    for p in range(1, 9):
-        roles[f"D{p}"] = f"d{p}[{i + 1},{j + 1}]"
+    roles.update((f"D{p}", f"d{p}[{i + 1},{j + 1}]") for p in range(1, 9))
+    roles.update((f"X{q}", f"x{q}[{i + 1}]") for q in range(2, 7))
     return roles
 
 
+# Each gadget as (triples, pair order) in role names.  The edge gadget
+# joins man A, woman B and their connector C; the tie gadget covers the
+# edges to both tied women, so those women get no edge gadget.
+_EDGE = ((("A", "B", "C"),), (("A", "B"), ("B", "C"), ("A", "C")))
+_TIE = (TIE_GADGET_TRIPLES, TIE_GADGET_PAIR_ORDER)
+_CUTOFF = (CUTOFF_TRIPLES, CUTOFF_PAIR_ORDER)
+
+# The groups of a man's tie gadget in the forward matching: taken when he
+# is married to the tie's first woman (he sits in (A, B, C)), free when
+# he is married to any other woman.
+_TIE_TAKEN = (("D1", "D2", "D8"), ("D3", "D4", "D5"))
+_TIE_FREE = (("C", "D5", "D8"), ("D2", "D3", "D7"), ("D1", "D4", "D6"))
+
+
 def smti_reduce(smti: SmtiInstance) -> SmtiReduction:
-    n = smti.n
     names = _smti_names(smti)
-    order = Poset.from_ranking(list(range(len(names))))
+    triples: dict[tuple[str, ...], None] = {}
+    pair_key: dict[frozenset, tuple] = {}
 
-    triples: list[tuple[str, str, str]] = []
-    for i, j in sorted(smti.acceptable):
-        if j - 1 in smti.man_ties(i):
-            continue  # covered by the tie's first woman below
-        triples.append((f"a[{i + 1}]", f"b[{j + 1}]", f"c[{i + 1},{j + 1}]"))
-    for i in range(n):
-        for j in smti.man_ties(i):
-            roles = _tie_role_map(i, j)
-            for t in TIE_GADGET_TRIPLES:
-                tr = tuple(roles[r] for r in t)
-                if tr not in triples:
-                    triples.append(tr)
-        roles = {"A": f"a[{i + 1}]"}
-        for q in range(2, 7):
-            roles[f"X{q}"] = f"x{q}[{i + 1}]"
-        for t in CUTOFF_TRIPLES:
-            triples.append(tuple(roles[r] for r in t))
+    def embed(gadget, roles: dict, key: tuple) -> None:
+        gadget_triples, pair_order = gadget
+        triples.update((tuple(roles[r] for r in t), None) for t in gadget_triples)
+        for r, (u, v) in enumerate(pair_order):
+            pair_key.setdefault(frozenset((roles[u], roles[v])), key + (r,))
 
-    agent_rank = {a: r for r, a in enumerate(names)}
-    pair_rank: dict[frozenset, tuple] = {}
-
-    def place(pair, key):
-        pair = frozenset(pair)
-        if pair not in pair_rank:
-            pair_rank[pair] = key
-
-    # Tie-gadget pair orders, gadget by gadget; then each man's pairs for
-    # untied women; then the cut-off pairs.  Keys only need to order the
-    # pairs within a single agent's list correctly.
-    for i in range(n):
+    # Keys only need to order the pairs within one agent's list: per man,
+    # his tie and edge gadgets by woman, then his cut-off gadget.
+    for i in range(smti.n):
         ties = smti.man_ties(i)
-        for j in range(n):
+        for j in range(smti.n):
             if j in ties:
-                roles = _tie_role_map(i, j)
-                for r, p in enumerate(TIE_GADGET_PAIR_ORDER):
-                    place((roles[p[0]], roles[p[1]]), (i, 1, j, r))
+                embed(_TIE, _roles(i, j), (i, 1, j))
             elif (i, j) in smti.acceptable and j - 1 not in ties:
-                place((f"a[{i + 1}]", f"b[{j + 1}]"), (i, 1, j, 0))
-                place(
-                    (f"b[{j + 1}]", f"c[{i + 1},{j + 1}]"), (i, 1, j, 1)
-                )
-                place(
-                    (f"a[{i + 1}]", f"c[{i + 1},{j + 1}]"), (i, 1, j, 1)
-                )
-        roles = {"A": f"a[{i + 1}]"}
-        for q in range(2, 7):
-            roles[f"X{q}"] = f"x{q}[{i + 1}]"
-        for r, p in enumerate(CUTOFF_PAIR_ORDER):
-            place((roles[p[0]], roles[p[1]]), (i, 2, 0, r))
-
-    def key(pair):
-        r = pair_rank.get(frozenset(pair))
-        if r is not None:
-            return (0, r)
-        return (1, tuple(sorted(agent_rank[x] for x in pair)))
-
-    lists = {}
-    for a in names:
-        pairs = {tuple(sorted(set(t) - {a})) for t in triples if a in t}
-        lists[a] = [list(p) for p in sorted(pairs, key=key)]
-    instance = Instance.explicit(3, names, lists)
-    return SmtiReduction(smti, instance, order)
+                embed(_EDGE, _roles(i, j), (i, 1, j))
+        embed(_CUTOFF, _roles(i, 0), (i, 2, 0))
+    instance = _explicit_from_triples(names, triples, pair_key)
+    return SmtiReduction(smti, instance, Poset.from_ranking(list(range(len(names)))))
 
 
 def smti_forward(reduction: SmtiReduction, matching: dict) -> Matching:
@@ -332,42 +305,14 @@ def smti_forward(reduction: SmtiReduction, matching: dict) -> Matching:
     if smti.blocking_pairs(matching):
         raise NotStable(f"blocking pairs: {smti.blocking_pairs(matching)}")
 
-    inst = reduction.instance
-    idx = inst.index
+    idx = reduction.instance.index
     groups = []
-    resolved: set[tuple[int, int]] = set()
-    for i, j in sorted(matching.items()):
-        groups.append(
-            (idx(f"a[{i + 1}]"), idx(f"b[{j + 1}]"), idx(f"c[{i + 1},{j + 1}]"))
-        )
-        ties = smti.man_ties(i)
-        if j - 1 in ties:
-            g = _tie_role_map(i, j - 1)
-            groups += [
-                (idx(g["C"]), idx(g["D5"]), idx(g["D8"])),
-                (idx(g["D2"]), idx(g["D3"]), idx(g["D7"])),
-                (idx(g["D1"]), idx(g["D4"]), idx(g["D6"])),
-            ]
-            resolved.add((i, j - 1))
-        if j in ties:
-            g = _tie_role_map(i, j)
-            groups += [
-                (idx(g["D1"]), idx(g["D2"]), idx(g["D8"])),
-                (idx(g["D3"]), idx(g["D4"]), idx(g["D5"])),
-            ]
-            resolved.add((i, j))
-    for i in range(smti.n):
-        for j in smti.man_ties(i):
-            if (i, j) not in resolved:
-                g = _tie_role_map(i, j)
-                groups += [
-                    (idx(g["C"]), idx(g["D5"]), idx(g["D8"])),
-                    (idx(g["D2"]), idx(g["D3"]), idx(g["D7"])),
-                    (idx(g["D1"]), idx(g["D4"]), idx(g["D6"])),
-                ]
-        groups.append(
-            (idx(f"x3[{i + 1}]"), idx(f"x4[{i + 1}]"), idx(f"x5[{i + 1}]"))
-        )
+    for i, j in matching.items():
+        tables = [(_roles(i, j), (("A", "B", "C"), ("X3", "X4", "X5")))]
+        for t in smti.man_ties(i):
+            tables.append((_roles(i, t), _TIE_TAKEN if t == j else _TIE_FREE))
+        for roles, table in tables:
+            groups += [tuple(idx(roles[r]) for r in g) for g in table]
     return normalize_matching(groups)
 
 

@@ -162,6 +162,16 @@ PAIRS = {"type": "master_poset", "pairs": [["a", "b"]], "tiebreak": "canonical"}
         _doc(PAIRS, agents=(["a"], "b", "c")),
         _doc({"type": "master_list_sets", "order": 5}),
         _doc(dict(EXPLICIT, lists=dict(EXPLICIT["lists"], z=[["a"]]))),
+        _doc(
+            {
+                "type": "master_poset",
+                "ranking": ["a", "b", "c", "d"],
+                "tiebreak": "explicit",
+                "completion": {"a": [["b"]]},
+            },
+            agents=("a", "b", "c", "d"),
+            acceptability={"a": [["b"], ["c"]], "c": [["a"]]},
+        ),
     ],
     ids=[
         "missing-lists",
@@ -170,6 +180,7 @@ PAIRS = {"type": "master_poset", "pairs": [["a", "b"]], "tiebreak": "canonical"}
         "unhashable-name",
         "order-not-a-list",
         "lists-undeclared-agent",
+        "acceptable-set-not-in-completion",
     ],
 )
 def test_malformed_document_exits_2(tmp_path, capsys, doc):
@@ -283,20 +294,32 @@ def test_reduce_smti_round_trip(tmp_path):
         ["smti", "--input", "smti.json", "--matching", "not_json.txt"],
         ["smti", "--input", "smti.json", "--matching", "not_pairs.json"],
         ["sat", "--formula", "formula.txt", "--assignment", "x"],
+        ["smti", "--input", "float_pair.json"],
+        ["smti", "--input", "float_tie_start.json"],
+        ["smti", "--input", "float_n.json"],
     ],
     ids=[
         "three-element-acceptable",
         "marriage-not-json",
         "marriage-not-pairs",
         "assignment-not-int",
+        "float-acceptable",
+        "float-tie-start",
+        "float-n",
     ],
 )
 def test_malformed_reduce_input_exits_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     smti = {"version": "1", "n": 1, "tie_starts": [], "acceptable": [[1, 1]]}
-    bad = dict(smti, acceptable=[[1, 1, 1]])
+    bad = {
+        "three_element_pair": dict(smti, acceptable=[[1, 1, 1]]),
+        "float_pair": dict(smti, acceptable=[[1.5, 1]]),
+        "float_tie_start": dict(smti, n=2, tie_starts=[1.0], acceptable=[[1, 1], [1, 2]]),
+        "float_n": dict(smti, n=2.0),
+    }
     (tmp_path / "smti.json").write_text(json.dumps(smti))
-    (tmp_path / "three_element_pair.json").write_text(json.dumps(bad))
+    for name, doc in bad.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     (tmp_path / "not_json.txt").write_text("[[1, 1]")
     (tmp_path / "not_pairs.json").write_text("[1, 1]")
     (tmp_path / "formula.txt").write_text("p oit3 3 3\n1 2 3\n1 2 3\n1 2 3\n")

@@ -229,6 +229,19 @@ def test_completion_must_respect_poset():
         Instance.master_poset(3, names, poset, bad)
 
 
+def test_acceptable_set_must_be_on_completion():
+    # a accepts {c}, which its completion does not list: rejected when
+    # built, not by the rank oracle partway through a search
+    with pytest.raises(ValidationError):
+        Instance.master_poset(
+            2,
+            ["a", "b", "c", "d"],
+            Poset.from_ranking([0, 1, 2, 3]),
+            completion={"a": [["b"]]},
+            acceptability={"a": [["b"], ["c"]], "c": [["a"]]},
+        )
+
+
 def test_rank_key_unacceptable_set():
     partial = Instance.explicit(
         3, ["a", "b", "c", "d"], {"a": [["b", "c"]], "b": [["a", "c"]]}

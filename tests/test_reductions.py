@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mdsr import (
@@ -13,6 +15,8 @@ from mdsr import (
     sat_backward_assignment,
     sat_forward_matching,
     sat_reduce,
+    serialize_instance,
+    serialize_matching,
 )
 from mdsr.errors import (
     InvalidAssignment,
@@ -21,6 +25,7 @@ from mdsr.errors import (
     ParseError,
 )
 from mdsr.reductions import INSTABLE_MASTER
+from util import reference_sat_reduce
 
 # every perfect matching of the six agents with a known blocking 3-set
 INSTABLE_TABLE = [
@@ -160,3 +165,40 @@ def test_sat_second_formula_round_trip():
     for solution in formula.solutions():
         m = sat_forward_matching(reduction, solution)
         assert sat_backward_assignment(reduction, m) == solution
+
+
+def random_formula(rng: random.Random, n: int, planted: bool) -> OneInThreeFormula:
+    """A formula on n variables; planted ones (n divisible by 3) have the
+    solution {1, .., n/3} with one of those variables in every clause."""
+    while True:
+        if planted:
+            true = [v for v in range(1, n // 3 + 1) for _ in range(3)]
+            false = [v for v in range(n // 3 + 1, n + 1) for _ in range(3)]
+            rng.shuffle(true)
+            rng.shuffle(false)
+            clauses = [(t, false[2 * c], false[2 * c + 1]) for c, t in enumerate(true)]
+        else:
+            occ = [v for v in range(1, n + 1) for _ in range(3)]
+            rng.shuffle(occ)
+            clauses = [tuple(occ[3 * c:3 * c + 3]) for c in range(n)]
+        if all(len(set(c)) == 3 for c in clauses):
+            return OneInThreeFormula(n, tuple(tuple(c) for c in clauses))
+
+
+def test_sat_reduction_matches_reference():
+    rng = random.Random(8)
+    forwarded = 0
+    sizes = [(n, False) for n in (3, 4, 4, 5, 5, 6, 6, 7, 8, 9, 10, 12)]
+    sizes += [(n, True) for n in (3, 3, 6, 6, 9, 9, 12, 12)]
+    for n, planted in sizes:
+        formula = random_formula(rng, n, planted)
+        new, ref = sat_reduce(formula), reference_sat_reduce(formula)
+        assert serialize_instance(new.instance) == serialize_instance(ref.instance)
+        assert new.slot_occurrence == ref.slot_occurrence
+        assert new.occurrence_slot == ref.occurrence_slot
+        for solution in formula.solutions():
+            assert serialize_matching(
+                new.instance, sat_forward_matching(new, solution)
+            ) == serialize_matching(ref.instance, sat_forward_matching(ref, solution))
+            forwarded += 1
+    assert forwarded >= 30

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mdsr import (
@@ -11,6 +13,8 @@ from mdsr import (
     is_stable,
     materialize_explicit,
     normalize_matching,
+    serialize_instance,
+    serialize_matching,
     smti_backward,
     smti_forward,
     smti_reduce,
@@ -18,7 +22,19 @@ from mdsr import (
 )
 from mdsr.errors import MalformedSmti, NotPerfect, NotStable, NotWellFormed
 from mdsr.poset import Poset
-from mdsr.smti import TIE_GADGET_AGENT_ORDER, TIE_GADGET_TRIPLES
+from mdsr.smti import (
+    CUTOFF_AGENT_ORDER,
+    CUTOFF_PAIR_ORDER,
+    CUTOFF_TRIPLES,
+    TIE_GADGET_AGENT_ORDER,
+    TIE_GADGET_PAIR_ORDER,
+    TIE_GADGET_TRIPLES,
+)
+from util import (
+    reference_gadget_instance,
+    reference_smti_forward,
+    reference_smti_reduce,
+)
 
 
 def named(inst, *groups):
@@ -209,3 +225,59 @@ def test_smti_round_trip_three_men():
         assert smti_backward(reduction, m) == pm
         count += 1
     assert count >= 1
+
+
+# ---------------------------------------------------------------------------
+# The table-driven builders against the earlier hand-written ones.
+
+
+def test_gadget_variants_match_reference():
+    # the full and reduced variants, then every single role dropped
+    gadgets = [
+        (
+            tie_gadget_instance,
+            (TIE_GADGET_AGENT_ORDER, TIE_GADGET_PAIR_ORDER, TIE_GADGET_TRIPLES),
+            [(), ("A",), ("B", "B1"), ("A", "B", "B1")],
+        ),
+        (
+            cutoff_gadget_instance,
+            (CUTOFF_AGENT_ORDER, CUTOFF_PAIR_ORDER, CUTOFF_TRIPLES),
+            [(), ("A",)],
+        ),
+    ]
+    for build, tables, variants in gadgets:
+        for drop in variants + [(r,) for r in tables[0]]:
+            ref = reference_gadget_instance(*tables, drop)
+            assert serialize_instance(build(drop)) == serialize_instance(ref), drop
+
+
+def random_smti(rng: random.Random, n: int) -> SmtiInstance:
+    ties: set[int] = set()
+    for j in range(n - 1):
+        if j - 1 not in ties and rng.random() < 0.5:
+            ties.add(j)
+    acceptable = frozenset(
+        (i, j) for i in range(n) for j in range(n) if rng.random() < 0.8
+    )
+    return SmtiInstance(n, frozenset(ties), acceptable)
+
+
+def test_smti_reduction_matches_reference():
+    rng = random.Random(8)
+    tied = forwarded = tied_forwarded = 0
+    for case in range(160):
+        s = random_smti(rng, 1 + case % 4)
+        new, ref = smti_reduce(s), reference_smti_reduce(s)
+        assert new.instance.names == ref.instance.names
+        assert serialize_instance(new.instance) == serialize_instance(ref.instance)
+        assert new.master_order.is_ranking and new.master_order.n == new.instance.n
+        has_tie = any(s.man_ties(i) for i in range(s.n))
+        tied += has_tie
+        for pm in s.perfect_stable_matchings():
+            assert serialize_matching(
+                new.instance, smti_forward(new, pm)
+            ) == serialize_matching(ref.instance, reference_smti_forward(ref, pm))
+            forwarded += 1
+            tied_forwarded += has_tie
+    # the seed covers ties and forward matchings through them
+    assert tied >= 50 and forwarded >= 150 and tied_forwarded >= 80

@@ -4,7 +4,7 @@ import itertools
 import random
 from itertools import combinations
 from math import inf
-from typing import Optional
+from typing import Iterable, Optional
 
 from mdsr import Instance, Poset, is_blocking
 from mdsr.core import (
@@ -16,7 +16,23 @@ from mdsr.core import (
     normalize_matching,
     tupleset,
 )
-from mdsr.errors import CycleDetected, DuplicateContradiction, ValidationError
+from mdsr.errors import (
+    CycleDetected,
+    DuplicateContradiction,
+    NotPerfect,
+    NotStable,
+    ValidationError,
+)
+from mdsr.reductions import OneInThreeFormula, SatReduction, _sat_names
+from mdsr.smti import (
+    CUTOFF_PAIR_ORDER,
+    CUTOFF_TRIPLES,
+    TIE_GADGET_PAIR_ORDER,
+    TIE_GADGET_TRIPLES,
+    SmtiInstance,
+    SmtiReduction,
+    _smti_names,
+)
 from mdsr.stability import _acceptable_groups, _partner_map
 
 # Six-agent instance where d, e, f share a master list but a, b, c deviate;
@@ -539,3 +555,248 @@ def reference_matchings(groups) -> list:
 
     rec(0, frozenset(), ())
     return sorted(out)
+
+
+# The hardness reductions as they were before each gadget became one table
+# embedded through one role map, kept verbatim as the differential
+# reference for the table-driven builders in mdsr.smti and mdsr.reductions.
+
+
+def reference_gadget_instance(
+    agent_order: tuple[str, ...],
+    pair_order: tuple[tuple[str, str], ...],
+    triples: Iterable[tuple[str, str, str]],
+    drop: Iterable[str] = (),
+) -> Instance:
+    """Build an incomplete-list instance from acceptable triples, ordering
+    each agent's pairs by the given pair order; pairs absent from it are
+    appended ranked by the strict agent order."""
+    drop = set(drop)
+    triples = [t for t in triples if not drop.intersection(t)]
+    names = [a for a in agent_order if any(a in t for t in triples)]
+    pair_rank = {frozenset(p): r for r, p in enumerate(pair_order)}
+    agent_rank = {a: r for r, a in enumerate(agent_order)}
+
+    def key(pair):
+        r = pair_rank.get(frozenset(pair))
+        if r is not None:
+            return (0, r)
+        return (1, tuple(sorted(agent_rank[x] for x in pair)))
+
+    lists = {}
+    for a in names:
+        pairs = {tuple(sorted(set(t) - {a})) for t in triples if a in t}
+        lists[a] = [list(p) for p in sorted(pairs, key=key)]
+    return Instance.explicit(3, names, lists)
+
+
+def reference_tie_role_map(i: int, j: int) -> dict:
+    """Role names of the tie gadget for man i and tie start j (0-based)."""
+    roles = {
+        "A": f"a[{i + 1}]",
+        "B": f"b[{j + 1}]",
+        "B1": f"b[{j + 2}]",
+        "C": f"c[{i + 1},{j + 1}]",
+        "C1": f"c[{i + 1},{j + 2}]",
+        "CP": f"cp[{i + 1},{j + 1}]",
+    }
+    for p in range(1, 9):
+        roles[f"D{p}"] = f"d{p}[{i + 1},{j + 1}]"
+    return roles
+
+
+def reference_smti_reduce(smti: SmtiInstance) -> SmtiReduction:
+    n = smti.n
+    names = _smti_names(smti)
+    order = Poset.from_ranking(list(range(len(names))))
+
+    triples: list[tuple[str, str, str]] = []
+    for i, j in sorted(smti.acceptable):
+        if j - 1 in smti.man_ties(i):
+            continue  # covered by the tie's first woman below
+        triples.append((f"a[{i + 1}]", f"b[{j + 1}]", f"c[{i + 1},{j + 1}]"))
+    for i in range(n):
+        for j in smti.man_ties(i):
+            roles = reference_tie_role_map(i, j)
+            for t in TIE_GADGET_TRIPLES:
+                tr = tuple(roles[r] for r in t)
+                if tr not in triples:
+                    triples.append(tr)
+        roles = {"A": f"a[{i + 1}]"}
+        for q in range(2, 7):
+            roles[f"X{q}"] = f"x{q}[{i + 1}]"
+        for t in CUTOFF_TRIPLES:
+            triples.append(tuple(roles[r] for r in t))
+
+    agent_rank = {a: r for r, a in enumerate(names)}
+    pair_rank: dict[frozenset, tuple] = {}
+
+    def place(pair, key):
+        pair = frozenset(pair)
+        if pair not in pair_rank:
+            pair_rank[pair] = key
+
+    # Tie-gadget pair orders, gadget by gadget; then each man's pairs for
+    # untied women; then the cut-off pairs.  Keys only need to order the
+    # pairs within a single agent's list correctly.
+    for i in range(n):
+        ties = smti.man_ties(i)
+        for j in range(n):
+            if j in ties:
+                roles = reference_tie_role_map(i, j)
+                for r, p in enumerate(TIE_GADGET_PAIR_ORDER):
+                    place((roles[p[0]], roles[p[1]]), (i, 1, j, r))
+            elif (i, j) in smti.acceptable and j - 1 not in ties:
+                place((f"a[{i + 1}]", f"b[{j + 1}]"), (i, 1, j, 0))
+                place(
+                    (f"b[{j + 1}]", f"c[{i + 1},{j + 1}]"), (i, 1, j, 1)
+                )
+                place(
+                    (f"a[{i + 1}]", f"c[{i + 1},{j + 1}]"), (i, 1, j, 1)
+                )
+        roles = {"A": f"a[{i + 1}]"}
+        for q in range(2, 7):
+            roles[f"X{q}"] = f"x{q}[{i + 1}]"
+        for r, p in enumerate(CUTOFF_PAIR_ORDER):
+            place((roles[p[0]], roles[p[1]]), (i, 2, 0, r))
+
+    def key(pair):
+        r = pair_rank.get(frozenset(pair))
+        if r is not None:
+            return (0, r)
+        return (1, tuple(sorted(agent_rank[x] for x in pair)))
+
+    lists = {}
+    for a in names:
+        pairs = {tuple(sorted(set(t) - {a})) for t in triples if a in t}
+        lists[a] = [list(p) for p in sorted(pairs, key=key)]
+    instance = Instance.explicit(3, names, lists)
+    return SmtiReduction(smti, instance, order)
+
+
+def reference_smti_forward(reduction: SmtiReduction, matching: dict) -> Matching:
+    """Translate a perfect stable marriage matching (man -> woman dict)
+    into a stable matching of the roommates instance."""
+    smti = reduction.smti
+    if len(matching) != smti.n or set(matching.values()) != set(range(smti.n)):
+        raise NotPerfect("every man and woman must be matched exactly once")
+    if any((i, j) not in smti.acceptable for i, j in matching.items()):
+        raise NotStable("matching uses an unacceptable pair")
+    if smti.blocking_pairs(matching):
+        raise NotStable(f"blocking pairs: {smti.blocking_pairs(matching)}")
+
+    inst = reduction.instance
+    idx = inst.index
+    groups = []
+    resolved: set[tuple[int, int]] = set()
+    for i, j in sorted(matching.items()):
+        groups.append(
+            (idx(f"a[{i + 1}]"), idx(f"b[{j + 1}]"), idx(f"c[{i + 1},{j + 1}]"))
+        )
+        ties = smti.man_ties(i)
+        if j - 1 in ties:
+            g = reference_tie_role_map(i, j - 1)
+            groups += [
+                (idx(g["C"]), idx(g["D5"]), idx(g["D8"])),
+                (idx(g["D2"]), idx(g["D3"]), idx(g["D7"])),
+                (idx(g["D1"]), idx(g["D4"]), idx(g["D6"])),
+            ]
+            resolved.add((i, j - 1))
+        if j in ties:
+            g = reference_tie_role_map(i, j)
+            groups += [
+                (idx(g["D1"]), idx(g["D2"]), idx(g["D8"])),
+                (idx(g["D3"]), idx(g["D4"]), idx(g["D5"])),
+            ]
+            resolved.add((i, j))
+    for i in range(smti.n):
+        for j in smti.man_ties(i):
+            if (i, j) not in resolved:
+                g = reference_tie_role_map(i, j)
+                groups += [
+                    (idx(g["C"]), idx(g["D5"]), idx(g["D8"])),
+                    (idx(g["D2"]), idx(g["D3"]), idx(g["D7"])),
+                    (idx(g["D1"]), idx(g["D4"]), idx(g["D6"])),
+                ]
+        groups.append(
+            (idx(f"x3[{i + 1}]"), idx(f"x4[{i + 1}]"), idx(f"x5[{i + 1}]"))
+        )
+    return normalize_matching(groups)
+
+
+def reference_sat_reduce(formula: OneInThreeFormula) -> SatReduction:
+    """Build the master-list instance; it has a stable matching exactly
+    when the formula has a solution."""
+    names = _sat_names(formula)
+    index = {name: i for i, name in enumerate(names)}
+
+    slot_occurrence = {}
+    occurrence_slot = {}
+    seen = {i: 0 for i in range(1, formula.n_vars + 1)}
+    for j, clause in enumerate(formula.clauses, 1):
+        for l, v in enumerate(clause, 1):
+            seen[v] += 1
+            slot_occurrence[(j, l)] = (v, seen[v])
+            occurrence_slot[(v, seen[v])] = (j, l)
+
+    def c(j):
+        return index[f"c[{j}]"]
+
+    def d(j):
+        return index[f"d[{j}]"]
+
+    def x(i, k):
+        return index[f"x[{i},{k}]"]
+
+    def z(i, k, p):
+        return index[f"z[{i},{k},{p}]"]
+
+    def y(j, l):
+        return x(*slot_occurrence[(j, l)])
+
+    master: list[tuple[int, int]] = []
+    for j in range(1, formula.n_clauses + 1):
+        master += [
+            (c(j), d(j)),
+            (y(j, 1), d(j)),
+            (y(j, 3), c(j)),
+            (y(j, 2), d(j)),
+            (y(j, 2), c(j)),
+            (y(j, 3), d(j)),
+            (y(j, 1), c(j)),
+        ]
+    for i in range(1, formula.n_vars + 1):
+        master += [
+            (x(i, 1), x(i, 2)),
+            (x(i, 2), x(i, 3)),
+            (x(i, 1), x(i, 3)),
+        ]
+        for k in (1, 2, 3):
+            # The six-agent unsolvable pattern on x[i,k] and z[i,k,1..5],
+            # then the pairs with z[i,k,6] at the tail.
+            xa, z1, z2, z3, z4, z5, z6 = (
+                x(i, k),
+                z(i, k, 1),
+                z(i, k, 2),
+                z(i, k, 3),
+                z(i, k, 4),
+                z(i, k, 5),
+                z(i, k, 6),
+            )
+            master += [
+                (xa, z1), (xa, z2), (xa, z3), (xa, z5), (z1, z4), (z2, z3),
+                (xa, z4), (z1, z5), (z2, z4), (z1, z3), (z3, z4), (z1, z2),
+                (z2, z5), (z3, z5), (z4, z5), (xa, z6), (z1, z6), (z2, z6),
+                (z3, z6), (z4, z6), (z5, z6),
+            ]
+    placed = {tupleset(p) for p in master}
+    rest = [
+        p
+        for p in combinations(range(len(names)), 2)
+        if p not in placed
+    ]
+    full = [tuple(names[q] for q in sorted(p)) for p in master] + [
+        (names[p[0]], names[p[1]]) for p in rest
+    ]
+    instance = Instance.master_list(3, names, full)
+    return SatReduction(formula, instance, slot_occurrence, occurrence_slot)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Optional
 
 from .core import MasterPoset
@@ -158,16 +159,17 @@ def _cmd_stats(args, out) -> int:
 
 
 def _cmd_gen(args, out) -> int:
+    # instable has no role to drop, cutoff drops A, tie drops A or B.
+    bad_b = args.drop_b and (args.kind != "tie" or args.drop_a)
+    if bad_b or args.drop_a and args.kind == "instable":
+        print(f"error: gen {args.kind} has no role for these drop flags", file=sys.stderr)
+        return EXIT_USAGE
     if args.kind == "instable":
         instance = instable_instance()
     elif args.kind == "cutoff":
         instance = cutoff_gadget_instance(drop=("A",) if args.drop_a else ())
     else:
-        drop = ()
-        if args.drop_a:
-            drop = ("A",)
-        elif args.drop_b:
-            drop = ("B", "B1")
+        drop = ("A",) if args.drop_a else ("B", "B1") if args.drop_b else ()
         instance = tie_gadget_instance(drop=drop)
     _write(args.output, serialize_instance(instance), out)
     return EXIT_OK
@@ -254,6 +256,7 @@ def _cmd_reduce_smti(args, out) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdsr", description="Stable roommates in groups with master lists"

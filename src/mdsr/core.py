@@ -3,13 +3,14 @@ preference oracle that compares tuple-sets without materializing lists."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
-from itertools import islice
+from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
+    ParseError,
     SelfInclusion,
     SizeMismatch,
     TooLarge,
@@ -32,6 +33,25 @@ def tupleset(agents: Iterable[int]) -> TupleSet:
     if len(set(t)) != len(t):
         raise ValidationError(f"duplicate agents in tuple-set {t}")
     return t
+
+
+def to_indices(index: Mapping, entries, ordered: bool = False) -> list:
+    """Each entry, a list or tuple of names, as a tuple of indices with one
+    dict lookup per member, sorted into a tuple-set unless ordered.  Any
+    other entry, an undeclared name or an unhashable member raises
+    ParseError; Instance._validate checks the entries themselves."""
+    get = index.__getitem__
+    out = []
+    entry = entries
+    try:
+        for entry in entries:
+            if not isinstance(entry, (list, tuple)):
+                raise TypeError
+            members = map(get, entry)
+            out.append(tuple(members) if ordered else tuple(sorted(members)))
+    except (KeyError, TypeError):
+        raise ParseError(f"{entry!r} is not a list of declared agents") from None
+    return out
 
 
 def normalize_matching(groups: Iterable[Iterable[int]]) -> Matching:
@@ -110,16 +130,32 @@ class Instance:
     """
 
     def __init__(self, d, names, source, acceptability=None):
+        self._set_agents(d, names)._set_source(source, acceptability)
+
+    def _set_agents(self, d, names) -> "Instance":
+        """The agents and the one name index the named constructors use."""
         self.d = d
         self.names = list(names)
-        self.source = source
-        self.acceptability = acceptability
         self._index = {name: i for i, name in enumerate(self.names)}
         self._lpo: Optional[LpoOrder] = None
         self._key = None  # the rank oracle, resolved on first use
+        return self
+
+    def _set_source(self, source, acceptability) -> "Instance":
+        self.source = source
+        self.acceptability = acceptability
         self._validate()
+        return self
 
     # -- construction -----------------------------------------------------
+
+    def index_sets(self, entries) -> tuple[TupleSet, ...]:
+        """Entries of agent names as tuple-sets, through the one name index."""
+        return tuple(to_indices(self._index, entries))
+
+    def index_lists(self, lists: Mapping[str, Sequence[Iterable[str]]]) -> tuple:
+        """index_sets of each agent's list, from lists keyed by name."""
+        return tuple(self.index_sets(lists.get(name, ())) for name in self.names)
 
     @classmethod
     def explicit(
@@ -132,21 +168,16 @@ class Instance:
 
         Lists covering every (d-1)-subset give complete preferences;
         shorter lists define the agent's acceptable sets."""
-        index = {name: i for i, name in enumerate(names)}
-        n = len(names)
-        per_agent = []
-        for name in names:
-            entries = [tupleset(index[x] for x in entry) for entry in lists.get(name, ())]
-            per_agent.append(tuple(entries))
-        complete = all(len(lst) == comb(n - 1, d - 1) for lst in per_agent)
-        acceptability = None if complete else tuple(frozenset(lst) for lst in per_agent)
-        return cls(d, names, Explicit(tuple(per_agent)), acceptability)
+        inst = cls.__new__(cls)._set_agents(d, names)
+        per_agent = inst.index_lists(lists)
+        complete = all(len(lst) == comb(inst.n - 1, d - 1) for lst in per_agent)
+        acceptability = None if complete else tuple(map(frozenset, per_agent))
+        return inst._set_source(Explicit(per_agent), acceptability)
 
     @classmethod
     def master_list(cls, d: int, names: Sequence[str], master: Sequence[Iterable[str]]) -> "Instance":
-        index = {name: i for i, name in enumerate(names)}
-        order = tuple(tupleset(index[x] for x in entry) for entry in master)
-        return cls(d, names, MasterListSets(order))
+        inst = cls.__new__(cls)._set_agents(d, names)
+        return inst._set_source(MasterListSets(inst.index_sets(master)), None)
 
     @classmethod
     def master_poset(
@@ -157,20 +188,11 @@ class Instance:
         completion: Optional[Mapping[str, Sequence[Iterable[str]]]] = None,
         acceptability: Optional[Mapping[str, Sequence[Iterable[str]]]] = None,
     ) -> "Instance":
-        index = {name: i for i, name in enumerate(names)}
-        comp = None
-        if completion is not None:
-            comp = tuple(
-                tuple(tupleset(index[x] for x in entry) for entry in completion.get(name, ()))
-                for name in names
-            )
-        acc = None
+        inst = cls.__new__(cls)._set_agents(d, names)
+        comp = None if completion is None else inst.index_lists(completion)
         if acceptability is not None:
-            acc = tuple(
-                frozenset(tupleset(index[x] for x in entry) for entry in acceptability.get(name, ()))
-                for name in names
-            )
-        return cls(d, names, MasterPoset(poset, comp), acc)
+            acceptability = tuple(map(frozenset, inst.index_lists(acceptability)))
+        return inst._set_source(MasterPoset(poset, comp), acceptability)
 
     # -- basic accessors --------------------------------------------------
 
@@ -220,70 +242,70 @@ class Instance:
             raise ValidationError("agent names must be unique")
         src = self.source
         if isinstance(src, Explicit):
-            self._validate_explicit(src)
+            self._validate_explicit(src.lists)
         elif isinstance(src, MasterListSets):
             self._validate_master_list(src)
         elif isinstance(src, MasterPoset):
             self._validate_master_poset(src)
         else:
             raise ValidationError(f"unknown source {src!r}")
-        if self.acceptability is not None:
+        if self.acceptability is not None and _agent_lists(self) is None:
+            # Acceptable sets on no per-agent list are checked here.
             for a, sets in enumerate(self.acceptability):
-                for t in sets:
-                    if a in t:
-                        raise SelfInclusion(f"agent {self.names[a]} in own acceptable set")
-                    if len(t) != d - 1:
-                        raise ValidationError(f"acceptable set {t} has wrong size")
-            if isinstance(src, MasterPoset) and src.completion is None:
-                if not src.poset.is_total():
-                    raise ValidationError(
-                        "acceptability with a canonical poset source requires "
-                        "a strict order"
-                    )
+                self._check_entries(a, sets)
+            if isinstance(src, MasterPoset) and not src.poset.is_total():
+                raise ValidationError("acceptability with a canonical poset needs a strict order")
 
-    def _validate_explicit(self, src: Explicit) -> None:
-        n, d = self.n, self.d
-        if len(src.lists) != n:
+    def _check_entries(self, a: int, entries) -> None:
+        """Each entry is a sorted tuple of d - 1 distinct agents in range,
+        none of them a."""
+        k, n = self.d - 1, self.n
+        for t in entries:
+            if len(t) != k:
+                raise ValidationError(f"entry {t} has size {len(t)}, want {k}")
+            if not (0 <= t[0] and t[-1] < n and all(x < y for x, y in zip(t, t[1:]))):
+                raise ValidationError(f"entry {t} is not a set of distinct agents")
+            if a in t:
+                raise SelfInclusion(f"agent {self.names[a]} lists itself")
+
+    def _validate_explicit(self, lists) -> None:
+        """Per-agent lists, explicit or a poset's completion: each entry
+        checked and listed once, and every acceptable set on its list."""
+        if len(lists) != self.n:
             raise ValidationError("one preference list per agent required")
-        for a, lst in enumerate(src.lists):
+        for a, lst in enumerate(lists):
             if len(lst) > EXPLICIT_LIST_LIMIT:
                 raise TooLarge("explicit list exceeds the materialization limit")
-            seen = set()
-            for t in lst:
-                if len(t) != d - 1:
-                    raise ValidationError(f"entry {t} has size {len(t)}, want {d - 1}")
-                if a in t:
-                    raise SelfInclusion(f"agent {self.names[a]} lists itself")
-                if t in seen:
-                    raise ValidationError(f"duplicate entry {t} for {self.names[a]}")
-                seen.add(t)
-            if self.acceptability is not None and not self.acceptability[a] <= seen:
-                missing = sorted(self.acceptability[a] - seen)
+            self._check_entries(a, lst)
+            listed = set(lst)
+            if len(listed) != len(lst):
+                raise ValidationError(f"duplicate entry in the list of {self.names[a]}")
+            if self.acceptability is not None and not self.acceptability[a] <= listed:
+                missing = sorted(self.acceptability[a] - listed)
                 raise ValidationError(
                     f"acceptable sets {missing} missing from the list of {self.names[a]}"
                 )
 
     def _validate_master_list(self, src: MasterListSets) -> None:
-        n, d = self.n, self.d
-        expected = comb(n, d - 1)
-        if len(src.order) != expected:
-            raise ValidationError(
-                f"master list has {len(src.order)} entries, want {expected}"
-            )
-        if len(set(src.order)) != len(src.order):
-            raise ValidationError("master list contains duplicates")
-        for t in src.order:
-            if len(t) != d - 1 or any(not 0 <= a < n for a in t):
-                raise ValidationError(f"bad master list entry {t}")
+        """The order must rank every (d-1)-set once: removing each from the
+        set of entries, when the counts agree, covers entry size, range,
+        repeated members and duplicates."""
+        n, k = self.n, self.d - 1
+        ranked = set(src.order)
+        if len(src.order) == len(ranked) == comb(n, k):
+            ranked.difference_update(combinations(range(n), k))
+            if not ranked:
+                return
+        raise ValidationError(
+            f"master list must rank each of the {comb(n, k)} sets of {k} agents once"
+        )
 
     def _validate_master_poset(self, src: MasterPoset) -> None:
         if src.poset.n != self.n:
             raise ValidationError("poset size differs from agent count")
         if src.completion is not None:
-            inst = Instance(
-                self.d, self.names, Explicit(src.completion), self.acceptability
-            )
-            if not is_derived_from_poset(inst, src.poset):
+            self._validate_explicit(src.completion)
+            if not is_derived_from_poset(self, src.poset):
                 raise ValidationError("completion is not derived from the poset")
 
     # -- the preference oracle --------------------------------------------
@@ -496,8 +518,6 @@ def validate_matching(instance: Instance, m: Matching) -> bool:
 
 def materialize_explicit(instance: Instance, limit: int = 10**5) -> Instance:
     """An equivalent instance with explicit per-agent lists."""
-    from itertools import combinations
-
     n, d = instance.n, instance.d
     if comb(n - 1, d - 1) > limit:
         raise TooLarge("instance too large to materialize explicit lists")

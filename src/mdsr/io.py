@@ -7,10 +7,9 @@ so parse -> serialize round-trips byte-identically.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
-from .core import Explicit, Instance, MasterListSets, MasterPoset, Matching
-from .errors import ParseError, ValidationError
+from .core import Explicit, Instance, MasterListSets, MasterPoset, Matching, to_indices
+from .errors import ParseError
 from .poset import Poset
 
 VERSION = "1"
@@ -86,54 +85,50 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(d, int) or not isinstance(names, list):
         raise ParseError("field types: d must be int, agents a list")
     try:
-        known = set(names)
+        index = {name: i for i, name in enumerate(names)}
     except TypeError:
         raise ParseError("agent names must not be lists or objects") from None
 
-    def check_set(t) -> list:
-        try:
-            if isinstance(t, list) and set(t).issubset(known):
-                return t
-        except TypeError:
-            pass
-        raise ParseError(f"set {t!r} references undeclared agents")
-
+    # The JSON shape only: Instance converts each entry's names and checks
+    # the entry once.
     def check_lists(lists, field: str) -> dict:
         if not (
             isinstance(lists, dict)
-            and known.issuperset(lists)
+            and index.keys() >= lists.keys()
             and all(isinstance(lst, list) for lst in lists.values())
         ):
             raise ParseError(f"{field!r} must map declared agents to lists")
-        return {a: [check_set(t) for t in lst] for a, lst in lists.items()}
+        return lists
 
     src = doc["source"]
     kind = src.get("type") if isinstance(src, dict) else None
-    acceptability = doc.get("acceptability")
-    acc = None
-    if acceptability is not None:
-        acc = check_lists(acceptability, "acceptability")
+    acc = doc.get("acceptability")
+    if acc is not None:
+        check_lists(acc, "acceptability")
 
     if kind == "explicit":
         instance = Instance.explicit(d, names, check_lists(src.get("lists"), "lists"))
-        if acc is not None and instance.acceptability is None:
-            raise ParseError("acceptability given for complete explicit lists")
+        if acc is not None:
+            if instance.acceptability is None:
+                raise ParseError("acceptability given for complete explicit lists")
+            if tuple(map(frozenset, instance.index_lists(acc))) != instance.acceptability:
+                raise ParseError("acceptability differs from the sets on the lists")
         return instance
     if kind == "master_list_sets":
         order = src.get("order")
         if not isinstance(order, list):
             raise ParseError("'order' must be a list")
-        return Instance.master_list(d, names, [check_set(t) for t in order])
+        if acc is not None:
+            raise ParseError("acceptability given for a complete master list")
+        return Instance.master_list(d, names, order)
     if kind == "master_poset":
-        index = {name: i for i, name in enumerate(names)}
         if "ranking" in src:
-            ranking = check_set(src["ranking"])
-            poset = Poset.from_ranking([index[x] for x in ranking])
+            poset = Poset.from_ranking(to_indices(index, [src["ranking"]], ordered=True)[0])
         elif "pairs" in src:
-            pairs = src["pairs"]
-            if not isinstance(pairs, list) or any(len(check_set(p)) != 2 for p in pairs):
+            pairs = to_indices(index, src["pairs"], ordered=True)
+            if any(len(p) != 2 for p in pairs):
                 raise ParseError("'pairs' must be a list of agent pairs")
-            poset = Poset.from_pairs([(index[u], index[v]) for u, v in pairs], len(names))
+            poset = Poset.from_pairs(pairs, len(names))
         else:
             raise ParseError("master_poset needs either 'ranking' or 'pairs'")
         tiebreak = src.get("tiebreak", "canonical")
@@ -164,14 +159,4 @@ def parse_matching(text: str, instance: Instance) -> Matching:
     groups = doc.get("groups")
     if not isinstance(groups, list):
         raise ParseError("missing 'groups' list")
-    out = []
-    for g in groups:
-        if not isinstance(g, list):
-            raise ParseError(f"group {g!r} must be a list of agent names")
-        try:
-            out.append(tuple(sorted(instance.index(x) for x in g)))
-        except KeyError as exc:
-            raise ParseError(f"unknown agent {exc.args[0]!r} in matching") from None
-        except TypeError:
-            raise ParseError(f"group {g!r} must be a list of agent names") from None
-    return tuple(sorted(out))
+    return tuple(sorted(instance.index_sets(groups)))

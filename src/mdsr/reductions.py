@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from .core import Instance, Matching, normalize_matching, tupleset
+from .core import Instance, MasterListSets, Matching, normalize_matching, tupleset
 from .errors import (
     InvalidAssignment,
     MalformedFormula,
@@ -209,16 +209,10 @@ def sat_reduce(formula: OneInThreeFormula) -> SatReduction:
             role = dict(zip(INSTABLE_NAMES, six))
             master += [(role[u], role[v]) for u, v in INSTABLE_MASTER]
             master += [(a, z(i, k, 6)) for a in six]
-    placed = {tupleset(p) for p in master}
-    rest = [
-        p
-        for p in combinations(range(len(names)), 2)
-        if p not in placed
-    ]
-    full = [tuple(names[q] for q in sorted(p)) for p in master] + [
-        (names[p[0]], names[p[1]]) for p in rest
-    ]
-    instance = Instance.master_list(3, names, full)
+    head = [tupleset(p) for p in master]
+    placed = set(head)
+    rest = (p for p in combinations(range(len(names)), 2) if p not in placed)
+    instance = Instance(3, names, MasterListSets((*head, *rest)))
     return SatReduction(formula, instance, slot_occurrence, occurrence_slot)
 
 

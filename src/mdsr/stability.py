@@ -78,10 +78,10 @@ def find_blocking(
     problems = matching_violations(instance, m)
     if problems:
         raise ValidationError("; ".join(problems))
-    partners = _partner_map(instance, m)
     n, d = instance.n, instance.d
     if instance.is_complete and comb(n, d) > guard:
         raise TooLarge("too many candidate groups to scan")
+    partners = _partner_map(instance, m)
     key = instance.rank_key
     cur = [key(a, partners[a]) if a in partners else inf for a in range(n)]
     src = instance.source

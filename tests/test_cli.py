@@ -151,6 +151,13 @@ def _doc(source, agents=("a", "b", "c"), **extra):
 
 EXPLICIT = {"type": "explicit", "lists": {"a": [["b"], ["c"]], "b": [["a"], ["c"]], "c": [["a"], ["b"]]}}
 PAIRS = {"type": "master_poset", "pairs": [["a", "b"]], "tiebreak": "canonical"}
+RANKING = {"type": "master_poset", "ranking": ["a", "b", "c"], "tiebreak": "canonical"}
+ORDER = {"type": "master_list_sets", "order": [["a"], ["b"], ["c"]]}
+# a d=3 master list of agents a-d with ["a", "a"] in place of ["a", "b"]
+ORDER3 = {
+    "type": "master_list_sets",
+    "order": [["a", "a"], ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"], ["c", "d"]],
+}
 
 
 @pytest.mark.parametrize(
@@ -172,6 +179,17 @@ PAIRS = {"type": "master_poset", "pairs": [["a", "b"]], "tiebreak": "canonical"}
             agents=("a", "b", "c", "d"),
             acceptability={"a": [["b"], ["c"]], "c": [["a"]]},
         ),
+        _doc(dict(ORDER, order=["a", ["b"], ["c"]])),
+        _doc(dict(ORDER, order=[["a"], ["b"], ["z"]])),
+        _doc(dict(RANKING, tiebreak="explicit", completion={"a": [["z"]]})),
+        _doc(RANKING, acceptability={"a": [["b"]], "b": [["z"]]}),
+        _doc(dict(RANKING, ranking=["a", "b", "z"])),
+        _doc({"type": "explicit", "lists": {"a": [["b", "b"]]}}, agents="abcd", d=3),
+        _doc(ORDER3, agents="abcd", d=3),
+        _doc(dict(ORDER, order=[["a", "b"], ["b"], ["c"]])),
+        _doc(dict(ORDER, order=[[["a"]], ["b"], ["c"]])),
+        _doc({"type": "explicit", "lists": {"a": [["b"]]}}, acceptability={"a": [["c"]]}),
+        _doc(ORDER, acceptability={"a": [["b"]]}),
     ],
     ids=[
         "missing-lists",
@@ -181,6 +199,17 @@ PAIRS = {"type": "master_poset", "pairs": [["a", "b"]], "tiebreak": "canonical"}
         "order-not-a-list",
         "lists-undeclared-agent",
         "acceptable-set-not-in-completion",
+        "order-entry-not-a-list",
+        "order-undeclared-agent",
+        "completion-undeclared-agent",
+        "acceptability-undeclared-agent",
+        "ranking-undeclared-agent",
+        "list-entry-repeated-member",
+        "order-entry-repeated-member",
+        "order-entry-wrong-size",
+        "order-entry-unhashable-member",
+        "explicit-acceptability-not-the-lists",
+        "master-list-acceptability",
     ],
 )
 def test_malformed_document_exits_2(tmp_path, capsys, doc):
@@ -233,6 +262,22 @@ def test_gen_gadgets():
     code, text = invoke(["gen", "cutoff", "--drop-a"])
     assert code == 0
     assert '"A"' not in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cutoff", "--drop-b"],
+        ["instable", "--drop-a"],
+        ["instable", "--drop-b"],
+        ["tie", "--drop-a", "--drop-b"],
+    ],
+    ids=["cutoff-drop-b", "instable-drop-a", "instable-drop-b", "tie-drop-both"],
+)
+def test_gen_drop_without_role_exits_1(capsys, argv):
+    code, text = invoke(["gen", *argv])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_reduce_sat_round_trip(tmp_path):

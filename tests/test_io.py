@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 
 import pytest
@@ -11,14 +13,17 @@ from mdsr import (
     serialize_instance,
     serialize_matching,
 )
+from mdsr.core import MasterPoset
 from mdsr.errors import ParseError, ValidationError
 
 from util import (
     chain_instance,
     intro_instance,
     nostable_poset_instance,
+    random_complete_instance,
     random_completion_instance,
     random_poset,
+    reference_parse_instance,
 )
 
 
@@ -104,6 +109,64 @@ def test_parse_instance_errors():
             '{"version":"1","d":2,"agents":["a","b"],'
             '"source":{"type":"explicit","lists":{"a":[["z"]]}}}'
         )
+
+
+def _random_document(rng: random.Random, kind: str) -> str:
+    """A canonical document of one source kind; a kind ending in "+acc"
+    keeps a random part of each agent's sets as its acceptability."""
+    n, d = rng.randint(4, 7), rng.choice((2, 3))
+    base = kind.removesuffix("+acc")
+    doc = json.loads(serialize_instance(random_complete_instance(rng, base, n, d)))
+    if kind != base:
+        src, names = doc["source"], doc["agents"]
+        lists = src.get("lists") or src.get("completion") or {
+            a: [list(t) for t in itertools.combinations(names, d - 1) if a not in t]
+            for a in names
+        }
+        acc = {a: [t for t in lst if rng.random() < 0.6] for a, lst in lists.items()}
+        if base == "explicit":
+            src["lists"] = acc
+        doc["acceptability"] = acc
+    return serialize_instance(reference_parse_instance(json.dumps(doc)))
+
+
+def _shuffle_members(doc: dict, rng: random.Random) -> dict:
+    """The document with the members of every entry of order, lists,
+    completion and acceptability shuffled."""
+
+    def shuffled(entries):
+        return [rng.sample(t, len(t)) for t in entries]
+
+    src = doc["source"]
+    if "order" in src:
+        src["order"] = shuffled(src["order"])
+    for lists in (src.get("lists"), src.get("completion"), doc.get("acceptability")):
+        for a, entries in (lists or {}).items():
+            lists[a] = shuffled(entries)
+    return doc
+
+
+def _source_key(inst: Instance):
+    src = inst.source
+    if isinstance(src, MasterPoset):
+        p = src.poset
+        return (p.n, p._rank, p.source_pairs, p._gt, src.completion)
+    return src
+
+
+def test_parse_instance_matches_reference():
+    """Random documents of every source kind, with the members of each
+    entry shuffled, parse to the reference's sources and acceptability."""
+    rng = random.Random(9)
+    kinds = ["master_list", "ranking", "pairs", "explicit", "completion"]
+    kinds += ["ranking+acc", "explicit+acc", "completion+acc"]
+    for kind in kinds * 6:
+        text = _random_document(rng, kind)
+        assert serialize_instance(parse_instance(text)) == text
+        shuffled = json.dumps(_shuffle_members(json.loads(text), rng))
+        new, ref = parse_instance(shuffled), reference_parse_instance(shuffled)
+        assert _source_key(new) == _source_key(ref)
+        assert new.acceptability == ref.acceptability
 
 
 def test_matching_round_trip():

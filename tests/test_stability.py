@@ -18,6 +18,7 @@ from mdsr import (
 from mdsr.errors import TooLarge, ValidationError
 from mdsr.reductions import OneInThreeFormula, sat_forward_matching, sat_reduce
 from mdsr.solvers import strict_order_solve
+from mdsr import stability
 from mdsr.stability import _acceptable_groups, _matchings
 
 from util import (
@@ -221,3 +222,16 @@ def test_find_blocking_sat_master_list_is_fast():
     start = time.perf_counter()
     assert find_blocking(reduction.instance, m) is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_find_blocking_guard_trips_before_partner_map(monkeypatch):
+    def unused(instance, m):
+        raise AssertionError("partner map built before the guard")
+
+    monkeypatch.setattr(stability, "_partner_map", unused)
+    inst = chain_instance(9, 3)
+    with pytest.raises(TooLarge):
+        find_blocking(inst, normalize_matching([(0, 1, 2), (3, 4, 5)]), guard=10)
+    # a malformed matching is still reported first
+    with pytest.raises(ValidationError):
+        find_blocking(inst, ((0, 1, 2), (2, 3, 4)), guard=10)

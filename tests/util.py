@@ -1,13 +1,17 @@
 """Shared fixtures and random generators for the test suite."""
 
 import itertools
+import json
 import random
 from itertools import combinations
-from math import inf
+from math import comb, inf
 from typing import Iterable, Optional
 
 from mdsr import Instance, Poset, is_blocking
 from mdsr.core import (
+    Explicit,
+    MasterListSets,
+    MasterPoset,
     Matching,
     _agent_lists,
     dominates,
@@ -21,6 +25,7 @@ from mdsr.errors import (
     DuplicateContradiction,
     NotPerfect,
     NotStable,
+    ParseError,
     ValidationError,
 )
 from mdsr.reductions import OneInThreeFormula, SatReduction, _sat_names
@@ -800,3 +805,100 @@ def reference_sat_reduce(formula: OneInThreeFormula) -> SatReduction:
     ]
     instance = Instance.master_list(3, names, full)
     return SatReduction(formula, instance, slot_occurrence, occurrence_slot)
+
+
+# The instance parser as it stood before names became indices in one
+# converter: io checked every entry's names, then the named constructors
+# (inlined here) mapped them again with tupleset.  Kept as the reference
+# for the differential test.
+def reference_parse_instance(text: str) -> Instance:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("top-level document must be an object")
+    if doc.get("version") != "1":
+        raise ParseError(f"unsupported document version {doc.get('version')!r}")
+    for field in ("d", "agents", "source"):
+        if field not in doc:
+            raise ParseError(f"missing field {field!r}")
+    d = doc["d"]
+    names = doc["agents"]
+    if not isinstance(d, int) or not isinstance(names, list):
+        raise ParseError("field types: d must be int, agents a list")
+    try:
+        known = set(names)
+    except TypeError:
+        raise ParseError("agent names must not be lists or objects") from None
+
+    def check_set(t) -> list:
+        try:
+            if isinstance(t, list) and set(t).issubset(known):
+                return t
+        except TypeError:
+            pass
+        raise ParseError(f"set {t!r} references undeclared agents")
+
+    def check_lists(lists, field: str) -> dict:
+        if not (
+            isinstance(lists, dict)
+            and known.issuperset(lists)
+            and all(isinstance(lst, list) for lst in lists.values())
+        ):
+            raise ParseError(f"{field!r} must map declared agents to lists")
+        return {a: [check_set(t) for t in lst] for a, lst in lists.items()}
+
+    index = {name: i for i, name in enumerate(names)}
+
+    def per_agent(lists):
+        return tuple(
+            tuple(tupleset(index[x] for x in entry) for entry in lists.get(name, ()))
+            for name in names
+        )
+
+    src = doc["source"]
+    kind = src.get("type") if isinstance(src, dict) else None
+    acceptability = doc.get("acceptability")
+    acc = None
+    if acceptability is not None:
+        acc = check_lists(acceptability, "acceptability")
+
+    if kind == "explicit":
+        lists = per_agent(check_lists(src.get("lists"), "lists"))
+        n = len(names)
+        complete = all(len(lst) == comb(n - 1, d - 1) for lst in lists)
+        accept = None if complete else tuple(frozenset(lst) for lst in lists)
+        instance = Instance(d, names, Explicit(lists), accept)
+        if acc is not None and instance.acceptability is None:
+            raise ParseError("acceptability given for complete explicit lists")
+        return instance
+    if kind == "master_list_sets":
+        order = src.get("order")
+        if not isinstance(order, list):
+            raise ParseError("'order' must be a list")
+        order = [check_set(t) for t in order]
+        return Instance(
+            d, names, MasterListSets(tuple(tupleset(index[x] for x in t) for t in order))
+        )
+    if kind == "master_poset":
+        if "ranking" in src:
+            ranking = check_set(src["ranking"])
+            poset = Poset.from_ranking([index[x] for x in ranking])
+        elif "pairs" in src:
+            pairs = src["pairs"]
+            if not isinstance(pairs, list) or any(len(check_set(p)) != 2 for p in pairs):
+                raise ParseError("'pairs' must be a list of agent pairs")
+            poset = Poset.from_pairs([(index[u], index[v]) for u, v in pairs], len(names))
+        else:
+            raise ParseError("master_poset needs either 'ranking' or 'pairs'")
+        tiebreak = src.get("tiebreak", "canonical")
+        completion = None
+        if tiebreak == "explicit":
+            completion = per_agent(check_lists(src.get("completion", {}), "completion"))
+        elif tiebreak != "canonical":
+            raise ParseError(f"unknown tiebreak {tiebreak!r}")
+        if acc is not None:
+            acc = tuple(frozenset(lst) for lst in per_agent(acc))
+        return Instance(d, names, MasterPoset(poset, completion), acc)
+    raise ParseError(f"unknown source type {kind!r}")

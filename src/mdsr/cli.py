@@ -14,8 +14,10 @@ from typing import Optional
 from .core import MasterPoset
 from .errors import MdsrError, ParseError, TooLarge, ValidationError
 from .io import (
+    named_groups,
     parse_instance,
     parse_matching,
+    serialize_groups,
     serialize_instance,
     serialize_matching,
 )
@@ -103,7 +105,7 @@ def _cmd_solve(args, out) -> int:
         verdict, groups = "NO-STABLE", None
     else:
         verdict = "STABLE" if validated else "UNSTABLE-EXISTS"
-        groups = sorted(sorted(instance.group_names(g)) for g in matching)
+        groups = named_groups(instance, matching)
     _emit(
         args,
         out,
@@ -111,7 +113,7 @@ def _cmd_solve(args, out) -> int:
         {"verdict": verdict, "algo": algo, "groups": groups, "validated": validated},
     )
     if args.witness and matching is not None:
-        _write(args.witness, serialize_matching(instance, matching), out)
+        _write(args.witness, serialize_groups(groups), out)
     return EXIT_OK
 
 

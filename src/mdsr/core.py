@@ -133,10 +133,10 @@ class Instance:
         self._set_agents(d, names)._set_source(source, acceptability)
 
     def _set_agents(self, d, names) -> "Instance":
-        """The agents and the one name index the named constructors use."""
+        """The agents and their name index, which names may already be."""
         self.d = d
         self.names = list(names)
-        self._index = {name: i for i, name in enumerate(self.names)}
+        self._index = names if isinstance(names, dict) else dict(zip(self.names, range(self.n)))
         self._lpo: Optional[LpoOrder] = None
         self._key = None  # the rank oracle, resolved on first use
         return self
@@ -269,10 +269,11 @@ class Instance:
                 raise SelfInclusion(f"agent {self.names[a]} lists itself")
 
     def _validate_explicit(self, lists) -> None:
-        """Per-agent lists, explicit or a poset's completion: each entry
-        checked and listed once, and every acceptable set on its list."""
+        """Per-agent lists, explicit or a poset's completion: each entry checked
+        and listed once, and every acceptable set (all, if complete) on its list."""
         if len(lists) != self.n:
             raise ValidationError("one preference list per agent required")
+        acc, full = self.acceptability, comb(self.n - 1, self.d - 1)
         for a, lst in enumerate(lists):
             if len(lst) > EXPLICIT_LIST_LIMIT:
                 raise TooLarge("explicit list exceeds the materialization limit")
@@ -280,10 +281,10 @@ class Instance:
             listed = set(lst)
             if len(listed) != len(lst):
                 raise ValidationError(f"duplicate entry in the list of {self.names[a]}")
-            if self.acceptability is not None and not self.acceptability[a] <= listed:
-                missing = sorted(self.acceptability[a] - listed)
+            missing = full - len(listed) if acc is None else len(acc[a] - listed)
+            if missing:
                 raise ValidationError(
-                    f"acceptable sets {missing} missing from the list of {self.names[a]}"
+                    f"{missing} acceptable sets missing from the list of {self.names[a]}"
                 )
 
     def _validate_master_list(self, src: MasterListSets) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .core import Explicit, Instance, MasterListSets, MasterPoset, Matching, to_indices
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .poset import Poset
 
 VERSION = "1"
@@ -42,13 +42,9 @@ def serialize_instance(instance: Instance) -> str:
     else:
         source: dict = {"type": "master_poset"}
         if src.poset.is_ranking:
-            ranking = sorted(range(src.poset.n), key=lambda v: src.poset._rank[v])
-            source["ranking"] = [instance.names[v] for v in ranking]
+            source["ranking"] = _names_of(instance, src.poset.ranking)
         else:
-            source["pairs"] = [
-                [instance.names[u], instance.names[v]]
-                for u, v in src.poset.source_pairs
-            ]
+            source["pairs"] = [_names_of(instance, p) for p in src.poset.source_pairs]
         if src.completion is None:
             source["tiebreak"] = "canonical"
         else:
@@ -60,9 +56,7 @@ def serialize_instance(instance: Instance) -> str:
         doc["source"] = source
     if instance.acceptability is not None:
         doc["acceptability"] = {
-            instance.names[a]: sorted(
-                [_names_of(instance, t) for t in sets]
-            )
+            instance.names[a]: sorted(_names_of(instance, t) for t in sets)
             for a, sets in enumerate(instance.acceptability)
         }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -85,9 +79,11 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(d, int) or not isinstance(names, list):
         raise ParseError("field types: d must be int, agents a list")
     try:
-        index = {name: i for i, name in enumerate(names)}
+        index = dict(zip(names, range(len(names))))
     except TypeError:
         raise ParseError("agent names must not be lists or objects") from None
+    if len(index) != len(names):
+        raise ValidationError("agent names must be unique")
 
     # The JSON shape only: Instance converts each entry's names and checks
     # the entry once.
@@ -107,7 +103,7 @@ def parse_instance(text: str) -> Instance:
         check_lists(acc, "acceptability")
 
     if kind == "explicit":
-        instance = Instance.explicit(d, names, check_lists(src.get("lists"), "lists"))
+        instance = Instance.explicit(d, index, check_lists(src.get("lists"), "lists"))
         if acc is not None:
             if instance.acceptability is None:
                 raise ParseError("acceptability given for complete explicit lists")
@@ -120,7 +116,7 @@ def parse_instance(text: str) -> Instance:
             raise ParseError("'order' must be a list")
         if acc is not None:
             raise ParseError("acceptability given for a complete master list")
-        return Instance.master_list(d, names, order)
+        return Instance.master_list(d, index, order)
     if kind == "master_poset":
         if "ranking" in src:
             poset = Poset.from_ranking(to_indices(index, [src["ranking"]], ordered=True)[0])
@@ -137,16 +133,23 @@ def parse_instance(text: str) -> Instance:
             completion = check_lists(src.get("completion", {}), "completion")
         elif tiebreak != "canonical":
             raise ParseError(f"unknown tiebreak {tiebreak!r}")
-        return Instance.master_poset(d, names, poset, completion, acc)
+        return Instance.master_poset(d, index, poset, completion, acc)
     raise ParseError(f"unknown source type {kind!r}")
 
 
-def serialize_matching(instance: Instance, m: Matching) -> str:
-    doc = {
-        "version": VERSION,
-        "groups": sorted(sorted(_names_of(instance, g)) for g in m),
-    }
+def named_groups(instance: Instance, m: Matching) -> list[list]:
+    """The groups of m as lists of names, each sorted, in sorted order."""
+    return sorted(sorted(_names_of(instance, g)) for g in m)
+
+
+def serialize_groups(groups: list[list]) -> str:
+    """The matching document of named_groups output."""
+    doc = {"version": VERSION, "groups": groups}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def serialize_matching(instance: Instance, m: Matching) -> str:
+    return serialize_groups(named_groups(instance, m))
 
 
 def parse_matching(text: str, instance: Instance) -> Matching:

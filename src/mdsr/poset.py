@@ -1,8 +1,8 @@
 """Strict partial orders over agents and the parameters computed from them.
 
 Agents are dense 0-based integer indices.  A poset is stored either as a
-ranking (a rank array; cheap even for millions of agents) or, when built
-from comparison pairs, as closure bitmasks: about n*n/8 bytes per direction.
+ranking with its rank array (cheap even for millions of agents) or, when
+built from comparison pairs, as closure bitmasks: n*n/8 bytes per direction.
 """
 
 from __future__ import annotations
@@ -16,27 +16,32 @@ from .errors import CycleDetected, DuplicateContradiction, ValidationError
 
 class Poset:
     """A strict partial order over agents 0..n-1, transitively closed: a
-    rank array, or bit v of _gt[u] and bit u of _lt[v] set iff u > v."""
+    ranking and its rank array, or bit v of _gt[u] and bit u of _lt[v] set iff u > v."""
 
-    __slots__ = ("n", "source_pairs", "_rank", "_gt", "_lt")
+    __slots__ = ("n", "source_pairs", "ranking", "_rank", "_gt", "_lt")
 
-    def __init__(self, n, rank=None, gt=None, lt=None, source_pairs=()):
+    def __init__(self, n, ranking=None, rank=None, gt=None, lt=None, source_pairs=()):
         self.n = n
         self.source_pairs = tuple(source_pairs)
+        self.ranking = ranking
         self._rank = rank
         self._gt = gt
         self._lt = lt
 
     @classmethod
     def from_ranking(cls, ranking: Sequence[int]) -> "Poset":
-        """Total order given as a ranking: ranking[0] is the best agent."""
-        n = len(ranking)
-        if sorted(ranking) != list(range(n)):
+        """Total order given as a ranking: ranking[0] is the best agent.  Its
+        n entries fill all n rank slots iff none repeats or is negative."""
+        ranking = tuple(ranking)
+        rank = [-1] * len(ranking)
+        try:
+            for pos, v in enumerate(ranking):
+                rank[v] = pos
+        except (IndexError, TypeError):
+            rank = None
+        if rank is None or -1 in rank or min(ranking, default=0) < 0:
             raise ValidationError("ranking must be a permutation of 0..n-1")
-        rank = [0] * n
-        for pos, v in enumerate(ranking):
-            rank[v] = pos
-        return cls(n, rank=rank)
+        return cls(len(ranking), ranking=ranking, rank=tuple(rank))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], n: int) -> "Poset":
@@ -44,7 +49,7 @@ class Poset:
 
     @property
     def is_ranking(self) -> bool:
-        return self._rank is not None
+        return self.ranking is not None
 
     def greater(self, u: int, v: int) -> bool:
         """True iff u > v (u strictly better than v)."""
@@ -60,8 +65,7 @@ class Poset:
     def weakly_below(self, v: int) -> int:
         """Bitmask of the agents u with v >= u (O(n) for a ranking)."""
         if self._rank is not None:
-            r = self._rank
-            return sum(1 << u for u in range(self.n) if r[u] >= r[v])
+            return sum(1 << u for u in self.ranking[self._rank[v] :])
         return self._gt[v] | 1 << v
 
     def incomparable(self, u: int, v: int) -> bool:
@@ -102,8 +106,7 @@ class Poset:
     def successors(self, v: int):
         """All agents strictly below v."""
         if self._rank is not None:
-            r = self._rank
-            return [u for u in range(self.n) if r[u] > r[v]]
+            return sorted(self.ranking[self._rank[v] + 1 :])
         return [u for u, bit in enumerate(bin(self._gt[v])[:1:-1]) if bit == "1"]
 
 
@@ -166,9 +169,6 @@ class LpoOrder:
     position: tuple[int, ...]
     kappa: int
 
-    def __len__(self) -> int:
-        return len(self.order)
-
 
 def lpo_order(poset: Poset) -> LpoOrder:
     """Greedy extraction of an order where no later agent beats an earlier one.
@@ -177,12 +177,10 @@ def lpo_order(poset: Poset) -> LpoOrder:
     agent is extracted; such an agent always exists in a poset, and it is
     the same agent when only the direct pairs are considered.
     """
-    n = poset.n
     if poset.is_ranking:
-        order = sorted(range(n), key=lambda v: poset._rank[v])
-    else:
-        order, _ = _extract(poset.source_pairs, n)
-    pos = [0] * n
+        return LpoOrder(poset.ranking, poset._rank, 0)
+    order, _ = _extract(poset.source_pairs, poset.n)
+    pos = [0] * poset.n
     for p, v in enumerate(order):
         pos[v] = p
     return LpoOrder(tuple(order), tuple(pos), poset.kappa())
@@ -191,12 +189,11 @@ def lpo_order(poset: Poset) -> LpoOrder:
 def verify_lpo(order: Sequence[int], poset: Poset) -> bool:
     """Check by one mask test per position that no later agent is above it;
     the 2*kappa distance condition follows (see LpoOrder)."""
-    n = poset.n
-    if sorted(order) != list(range(n)):
-        return False
     if poset.is_ranking:
         # kappa = 0: every later agent must be below, so order is the ranking.
-        return all(poset._rank[v] == p for p, v in enumerate(order))
+        return tuple(order) == poset.ranking
+    if sorted(order) != list(range(poset.n)):
+        return False
     later = 0  # the agents after v
     for v in reversed(order):
         if poset._lt[v] & later:

@@ -58,10 +58,9 @@ def strict_order_solve(instance: Instance) -> Matching:
         raise NotStrictOrder("the master poset has incomparable agents")
     if not instance.is_complete:
         raise IncompletePreferences("complete preferences are required")
-    order = lpo.order
-    n, d = instance.n, instance.d
-    groups = [tupleset(order[i : i + d]) for i in range(0, n - d + 1, d)]
-    return normalize_matching(groups)
+    order, d = lpo.order, instance.d
+    # Slices of a permutation: each block is a set, sorted once.
+    return normalize_matching(order[i : i + d] for i in range(0, instance.n - d + 1, d))
 
 
 @dataclass(frozen=True)

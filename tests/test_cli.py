@@ -1,13 +1,28 @@
 import io
 import json
 import random
+import time
 
 import pytest
 
-from mdsr import serialize_instance, serialize_matching
+from mdsr import (
+    brute_force_solve,
+    fpt_dp_solve,
+    greedy_big_d_solve,
+    parse_instance,
+    serialize_instance,
+    serialize_matching,
+    strict_order_solve,
+)
 from mdsr.cli import run
 
-from util import chain_instance, intro_instance, nostable_poset_instance
+from util import (
+    chain_instance,
+    intro_instance,
+    nostable_poset_instance,
+    random_complete_instance,
+    two_level_instance,
+)
 
 
 def invoke(argv):
@@ -190,6 +205,8 @@ ORDER3 = {
         _doc(dict(ORDER, order=[[["a"]], ["b"], ["c"]])),
         _doc({"type": "explicit", "lists": {"a": [["b"]]}}, acceptability={"a": [["c"]]}),
         _doc(ORDER, acceptability={"a": [["b"]]}),
+        _doc(dict(RANKING, tiebreak="explicit")),
+        _doc(dict(RANKING, tiebreak="explicit", completion=EXPLICIT["lists"] | {"c": [["a"]]})),
     ],
     ids=[
         "missing-lists",
@@ -210,6 +227,8 @@ ORDER3 = {
         "order-entry-unhashable-member",
         "explicit-acceptability-not-the-lists",
         "master-list-acceptability",
+        "explicit-tiebreak-without-completion",
+        "completion-list-incomplete",
     ],
 )
 def test_malformed_document_exits_2(tmp_path, capsys, doc):
@@ -371,3 +390,57 @@ def test_malformed_reduce_input_exits_2(tmp_path, monkeypatch, capsys, argv):
     code, text = invoke(["reduce"] + argv)
     assert (code, text) == (2, "")
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_witness_is_serialize_matching(tmp_path):
+    """mdsr solve writes the witness serialize_matching gives for the
+    solver's matching and prints the same groups, on every algorithm."""
+    rng = random.Random(10)
+
+    def greedy(inst):
+        return greedy_big_d_solve(inst).matching
+
+    cases = [
+        (random_complete_instance(rng, "ranking", n, d), "strict", strict_order_solve)
+        for n, d in ((7, 2), (9, 3), (40, 4))
+    ]
+    cases += [(two_level_instance(n, 64), "greedy", greedy) for n in (128, 130)]
+    for algo, solve in (("brute", brute_force_solve), ("dp", fpt_dp_solve)):
+        cases += [
+            (random_complete_instance(rng, kind, n, d), algo, solve)
+            for kind in ("pairs", "completion")
+            for n, d in ((8, 2), (9, 3), (10, 2))
+        ]
+        cases.append((nostable_poset_instance(), algo, solve))
+    for i, (inst, algo, solve) in enumerate(cases):
+        path, witness = tmp_path / f"{i}.json", tmp_path / f"{i}.witness.json"
+        text = serialize_instance(inst)
+        path.write_text(text)
+        assert serialize_instance(parse_instance(text)) == text
+        argv = ["--json", "solve", "--input", str(path), "--witness", str(witness)]
+        code, out = invoke(argv + ["--algo", algo])
+        assert code == 0
+        m = solve(inst)
+        if m is None:
+            assert json.loads(out)["groups"] is None and not witness.exists()
+            continue
+        assert witness.read_bytes() == serialize_matching(inst, m).encode()
+        assert json.loads(out)["groups"] == json.loads(witness.read_text())["groups"]
+
+
+def test_solve_large_shuffled_ranking(tmp_path):
+    """A floor against a quadratic step on the strict path: 10^5 agents
+    solve with a witness in seconds, as consecutive blocks of the ranking."""
+    n, d = 10**5, 3
+    names = [f"a{i}" for i in range(n)]
+    ranking = random.Random(3).sample(names, n)
+    source = {"type": "master_poset", "ranking": ranking, "tiebreak": "canonical"}
+    path, witness = tmp_path / "chain.json", tmp_path / "witness.json"
+    path.write_text(json.dumps({"version": "1", "d": d, "agents": names, "source": source}))
+    start = time.perf_counter()
+    code, out = invoke(["--json", "solve", "--input", str(path), "--witness", str(witness)])
+    elapsed = time.perf_counter() - start
+    blocks = sorted(sorted(ranking[i : i + d]) for i in range(0, n - d + 1, d))
+    assert code == 0 and elapsed < 5
+    assert json.loads(out)["groups"] == blocks
+    assert json.loads(witness.read_text())["groups"] == blocks

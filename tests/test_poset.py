@@ -12,6 +12,7 @@ from util import (
     random_poset,
     reference_closure,
     reference_kappa_of,
+    reference_ranking_accepted,
     reference_verify_lpo,
 )
 
@@ -70,6 +71,42 @@ def test_lpo_order_ranking_fast_path():
     assert lpo.order == (3, 1, 0, 2)
     assert lpo.kappa == 0
     assert verify_lpo(lpo.order, p)
+
+
+def _near_permutation(rng, n):
+    """A shuffled 0..n-1, left as it is or with one entry repeated, dropped,
+    made -1 or n, or replaced by a value that is not an int index."""
+    ranking = rng.sample(range(n), n)
+    kind = rng.choice(["keep", "repeat", "drop", "-1", "n", "other"])
+    i = rng.randrange(n)
+    if kind == "repeat":
+        ranking[i] = ranking[rng.randrange(n)]
+    elif kind == "drop":
+        del ranking[i]
+    elif kind != "keep":
+        v = ranking[i]
+        other = rng.choice([float(v), v + 0.5, str(v), None, bool(v % 2)])
+        ranking[i] = {"-1": -1, "n": n}.get(kind, other)
+    return ranking
+
+
+def test_from_ranking_matches_sorting_rule():
+    """The one-pass check accepts exactly the rankings the sorting rule
+    accepted, keeps each accepted ranking as the lpo order and inverts it."""
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(500):
+        ranking = _near_permutation(rng, rng.randint(1, 9))
+        accepted = reference_ranking_accepted(ranking)
+        verdicts.add(accepted)
+        if not accepted:
+            with pytest.raises(ValidationError):
+                Poset.from_ranking(ranking)
+            continue
+        lpo = lpo_order(Poset.from_ranking(ranking))
+        assert lpo.order == tuple(ranking) and lpo.kappa == 0
+        assert [lpo.position[v] for v in lpo.order] == list(range(len(ranking)))
+    assert verdicts == {True, False}
 
 
 def test_verify_lpo_rejects_bad_orders():

@@ -39,6 +39,7 @@ from util import (
     random_completion_instance,
     random_poset,
     reference_sliding_dp,
+    two_level_instance,
 )
 
 
@@ -179,19 +180,6 @@ def test_greedy_kappa_zero_equals_strict():
         result = greedy_big_d_solve(inst)
         assert result.matching == strict_order_solve(inst)
         assert all(step.multiplicity >= 1 for step in result.steps)
-
-
-def two_level_instance(n: int, d: int) -> Instance:
-    """Levels of two mutually incomparable agents, strictly ordered between
-    levels; kappa = 1."""
-    pairs = []
-    for lvl in range(n // 2 - 1):
-        for u in (2 * lvl, 2 * lvl + 1):
-            for v in (2 * lvl + 2, 2 * lvl + 3):
-                pairs.append((u, v))
-    poset = Poset.from_pairs(pairs, n)
-    assert poset.kappa() == 1
-    return Instance.master_poset(d, [f"a{i}" for i in range(n)], poset)
 
 
 def test_greedy_kappa_one_certificates():

@@ -109,6 +109,19 @@ def chain_instance(n: int, d: int) -> Instance:
     )
 
 
+def two_level_instance(n: int, d: int) -> Instance:
+    """Levels of two mutually incomparable agents, strictly ordered between
+    levels; kappa = 1."""
+    pairs = []
+    for lvl in range(n // 2 - 1):
+        for u in (2 * lvl, 2 * lvl + 1):
+            for v in (2 * lvl + 2, 2 * lvl + 3):
+                pairs.append((u, v))
+    poset = Poset.from_pairs(pairs, n)
+    assert poset.kappa() == 1
+    return Instance.master_poset(d, [f"a{i}" for i in range(n)], poset)
+
+
 def random_poset(rng: random.Random, n: int, p: float = 0.5) -> Poset:
     """Random DAG closed transitively: edges follow a random permutation."""
     perm = list(range(n))
@@ -173,6 +186,22 @@ def brute_force_width(poset: Poset) -> int:
             ):
                 best = max(best, r)
     return best
+
+
+def reference_ranking_accepted(ranking) -> bool:
+    """Whether Poset.from_ranking accepted a ranking when it sorted it to
+    check it: sort, compare with 0..n-1, then fill the rank array.  A
+    TypeError counts as a rejection: mixed types do not sort, and an
+    int-valued float passes the comparison but is no list index."""
+    try:
+        if sorted(ranking) != list(range(len(ranking))):
+            return False
+        rank = [0] * len(ranking)
+        for pos, v in enumerate(ranking):
+            rank[v] = pos
+    except TypeError:
+        return False
+    return True
 
 
 def reference_closure(pairs, n: int) -> list[set]:

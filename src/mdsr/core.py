@@ -430,14 +430,14 @@ def is_derived_from_master_list(
     return True
 
 
-def _swaps(lst: Sequence[TupleSet], pool: Sequence[int]):
-    """(u, v) for each entry t, member u of t and agent v of pool outside t
-    with t - u + v also on lst and ranked after t: lst puts u above v."""
+def _swaps(lst: Sequence[TupleSet], pools: Mapping[int, Sequence[int]]):
+    """(u, v) for each entry t, member u of t and agent v of pools[u] outside
+    t with t - u + v also on lst and ranked after t: lst puts u above v."""
     rank = {t: i for i, t in enumerate(lst)}
     for r, t in enumerate(lst):
         for i, u in enumerate(t):
             rest = t[:i] + t[i + 1 :]
-            for v in pool:
+            for v in pools[u]:
                 if v not in t and rank.get(tuple(sorted(rest + (v,))), -1) > r:
                     yield u, v
 
@@ -458,10 +458,12 @@ def is_derived_from_poset(
     the walk's members, leaves a bijection with one fewer mismatch, so
     downward single swaps lead from t' to t through sets inside t | t',
     all on a complete list.  If t ranks above t', some step of that chain
-    is ranked upward: a swap with v > u.  This costs O(L (d-1) n) lookups
-    for a list of L sets.  Incomplete lists may miss the chain's sets, so
-    they compare every pair of entries with dominates: one bipartite
-    matching each, O(L^2) in all.
+    is ranked upward: a swap with v > u.  So only the agents v above each
+    u, listed once per call, are tried: for a list of L sets this costs one
+    lookup per entry t, member u and agent v > u outside t, at most
+    L (d-1) n, and none for pairs that are incomparable or have v below u.
+    Incomplete lists may miss the chain's sets, so they compare every pair
+    of entries with dominates: one bipartite matching each, O(L^2) in all.
     """
     lists = _agent_lists(instance)
     if lists is None:
@@ -470,13 +472,16 @@ def is_derived_from_poset(
     keep = None if agents is None else set(agents)
     pool = range(instance.n) if keep is None else sorted(keep)
     full = comb(max(len(pool) - 1, 0), instance.d - 1)
+    above = None
     for a, lst in enumerate(lists):
         if keep is not None:
             if a not in keep:
                 continue
             lst = [t for t in lst if keep.issuperset(t)]
         if len(lst) == full:
-            if any(poset.greater(v, u) for u, v in _swaps(lst, pool)):
+            if above is None:
+                above = {u: [v for v in pool if poset.greater(v, u)] for u in pool}
+            if next(_swaps(lst, above), None) is not None:
                 return False
             continue
         for i, t in enumerate(lst):

@@ -28,9 +28,9 @@ def recover_strict_order(instance: Instance, agents=None) -> Optional[Poset]:
     lists = _agent_lists(instance)
     agents = sorted(range(instance.n) if agents is None else agents)
     keep = set(agents)
-    pairs = set()
+    pairs, pools = set(), dict.fromkeys(agents, agents)
     for a in agents:
-        pairs.update(_swaps([t for t in lists[a] if keep.issuperset(t)], agents))
+        pairs.update(_swaps([t for t in lists[a] if keep.issuperset(t)], pools))
     try:
         lpo = lpo_order(Poset.from_pairs(pairs, instance.n))
     except ValidationError:

@@ -136,7 +136,8 @@ def fpt_dp_solve(
     the search degenerates to an exact scan; larger instances raise
     WindowTooLarge.  Overriding window_size/span runs the genuine sliding
     program; it is exact whenever the window is at least the theoretical
-    bound, and any matching it returns is re-validated.
+    bound, and any matching it returns is re-validated.  A window or span
+    below d - 1 leaves no room for a group and raises PreconditionViolated.
 
     The program reveals one order position r per step, r = 0..n-1, and
     may close a group ending at r whose members lie within span positions
@@ -151,6 +152,12 @@ def fpt_dp_solve(
     kappa = instance.lpo().kappa
     s = span if span is not None else group_span_bound(kappa, d)
     k = window_size if window_size is not None else default_window(kappa, d)
+    if min(k, s) < d - 1:
+        # A new group draws its d - 1 other members from the min(k, s)
+        # positions before its last, so no group could ever form.
+        raise PreconditionViolated(
+            f"window {k} and span {s} must both be at least d - 1 = {d - 1}"
+        )
     s = min(s, k)
 
     if k >= n - 1:

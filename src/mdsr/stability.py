@@ -11,6 +11,12 @@ partners; canonical posets build groups in lpo order, cutting a branch
 once an earlier member cannot gain.  Only if some group blocks, or at once
 for other sources, a scan of the candidates in index order finds the
 least.  The guard still bounds C(n, d) for every complete source.
+
+Brute force is one pruned depth-first search over matchings.  It settles
+agents in index order, each put in a group or left unmatched, and tests
+every candidate group once, as soon as all its members are settled; a
+blocking group cuts the branch.  The search yields the stable matchings
+in lexicographic order, so brute_force_solve stops at the first.
 """
 
 from __future__ import annotations
@@ -163,40 +169,87 @@ def _candidate_groups(instance: Instance) -> Iterable[Group]:
     return _acceptable_groups(instance)
 
 
-def _matchings(n: int, d: int, spare: int, allowed=None) -> Iterator[Matching]:
-    """Every matching of groups from allowed (any d-set if None), agents
-    sorted within and between groups, leaving at most spare agents out
-    before fewer than d are free: the first free agent anchors a new group
-    or, while spare lasts, stays unmatched."""
+def _matchings(n: int, d: int, spare: int, table: dict) -> Iterator[Matching]:
+    """Every matching of groups from table that no group of table blocks,
+    in lexicographic order.  table maps each candidate group, in
+    lexicographic order, to its (member, key of the rest) pairs.
 
-    def rec(free: tuple[int, ...], spare: int, acc: list) -> Iterator[Matching]:
-        if len(free) < d:
-            yield tuple(acc)
-            return
-        head, rest = free[0], free[1:]
-        for others in combinations(rest, d - 1):
-            group = (head,) + others
-            if allowed is not None and group not in allowed:
-                continue
-            remaining = tuple(x for x in rest if x not in others)
-            acc.append(group)
-            yield from rec(remaining, spare, acc)
-            acc.pop()
-        if spare:
-            yield from rec(rest, spare - 1, acc)
+    Agents are sorted within and between groups, and at most spare agents
+    are left out before fewer than d are free: the first free agent anchors
+    a new group or, while spare lasts, stays unmatched.  An agent is
+    settled once it is put in a group or left unmatched, and its current
+    key never changes below that step.  Each step tests only the groups
+    that hold a newly settled agent and have all their members settled,
+    settling the new agents one at a time, and cuts the branch if one
+    blocks; the agents still free at a leaf settle as unmatched.  So each
+    group is tested exactly once on every root-to-leaf path, and the leaves
+    reached are exactly the stable matchings.
 
-    yield from rec(tuple(range(n)), spare, [])
-
-
-def enumerate_stable(instance: Instance, max_n: int = 12) -> list[Matching]:
-    """All stable matchings, sorted; exponential, guarded by max_n.
-
-    Matchings are scanned against a table of every candidate group's
-    (member, key of the rest) pairs.  With complete preferences any
-    matching leaving d or more agents unmatched is blocked by them, so only
-    maximal matchings are scanned; incomplete ones scan every matching of
-    acceptable groups.
+    They come in lexicographic order, by induction over the nodes.  At a
+    node with matched prefix acc and free agents F, the group branches
+    yield acc + (g, ...) with g in combinations order.  The skip branch
+    yields either matchings whose next group has a larger head, which sort
+    after those, or acc itself, which sorts before them as their prefix.
+    But acc leaves all of F unmatched, so it is yielded only if no
+    candidate group lies inside F, and then the node has no group branch.
+    The plainest case is a skip that leaves fewer than d agents, with
+    exactly d free: acc comes after acc + (F,), but if F is acceptable to
+    all its members it blocks acc, and if not, acc + (F,) is never
+    generated.
     """
+    heads = [[] for _ in range(n)]  # (group, mask, row) of the groups each agent heads
+    rows = [[] for _ in range(n)]  # (key, mask, the others' pairs) per group holding an agent
+    for group, row in table.items():
+        mask = sum(1 << a for a in group)
+        heads[group[0]].append((group, mask, row))
+        for i, (a, k) in enumerate(row):
+            rows[a].append((k, mask, row[:i] + row[i + 1 :]))
+    for own in rows:
+        own.sort(key=lambda r: r[0])
+    cur = [inf] * n
+
+    def settle(agents, free: int) -> bool:
+        """Settle agents in turn; False once a group settled with them
+        blocks.  Agent a gains only from the groups it ranks above cur[a],
+        a prefix of rows[a]."""
+        for a in agents:
+            free &= ~(1 << a)
+            gain = cur[a]
+            for k, mask, others in rows[a]:
+                if k >= gain:
+                    break
+                if not mask & free and all(kx < cur[x] for x, kx in others):
+                    return False
+        return True
+
+    def rec(free: int, spare: int, acc: list) -> Iterator[Matching]:
+        if free.bit_count() < d:
+            left = [a for a in range(n) if free >> a & 1]
+            for a in left:
+                cur[a] = inf
+            if settle(left, free):
+                yield tuple(acc)
+            return
+        head = (free & -free).bit_length() - 1
+        for group, mask, row in heads[head]:
+            if mask & free == mask:
+                for a, k in row:
+                    cur[a] = k
+                if settle(group, free):
+                    acc.append(group)
+                    yield from rec(free & ~mask, spare, acc)
+                    acc.pop()
+        if spare:
+            cur[head] = inf
+            if settle((head,), free):
+                yield from rec(free & ~(1 << head), spare - 1, acc)
+
+    yield from rec((1 << n) - 1, spare, [])
+
+
+def _stable_matchings(instance: Instance, max_n: int) -> Iterator[Matching]:
+    """The stable matchings in lexicographic order, lazily; the guard and
+    the key table are checked and built at the call."""
     if instance.n > max_n:
         raise TooLarge(f"n={instance.n} exceeds the enumeration guard {max_n}")
     n, d, key = instance.n, instance.d, instance.rank_key
@@ -204,20 +257,24 @@ def enumerate_stable(instance: Instance, max_n: int = 12) -> list[Matching]:
         g: tuple((a, key(a, g[:i] + g[i + 1 :])) for i, a in enumerate(g))
         for g in _candidate_groups(instance)
     }
-    rows = list(table.values())
-    spare, allowed = (n % d, None) if instance.is_complete else (n, table)
-    stable = []
-    for m in _matchings(n, d, spare, allowed):
-        cur = [inf] * n
-        for g in m:
-            for a, k in table[g]:
-                cur[a] = k
-        if not any(all(k < cur[a] for a, k in row) for row in rows):
-            stable.append(m)
-    return sorted(stable)
+    # With complete preferences d unmatched agents block, so only maximal
+    # matchings can be stable; incomplete ones may leave anyone out.
+    spare = n % d if instance.is_complete else n
+    return _matchings(n, d, spare, table)
+
+
+def enumerate_stable(instance: Instance, max_n: int = 12) -> list[Matching]:
+    """All stable matchings, sorted; exponential, guarded by max_n.
+
+    The pruned search of _matchings settles agents in index order and cuts
+    a branch as soon as a group of settled agents blocks, so it visits only
+    prefixes of matchings that no settled group blocks, and it yields the
+    stable matchings already in lexicographic order.
+    """
+    return list(_stable_matchings(instance, max_n))
 
 
 def brute_force_solve(instance: Instance, max_n: int = 12) -> Optional[Matching]:
-    """Lexicographically least stable matching, or None."""
-    result = enumerate_stable(instance, max_n)
-    return result[0] if result else None
+    """Lexicographically least stable matching, or None: the first one the
+    pruned search of _matchings yields, which then stops."""
+    return next(_stable_matchings(instance, max_n), None)

@@ -444,3 +444,24 @@ def test_solve_large_shuffled_ranking(tmp_path):
     assert code == 0 and elapsed < 5
     assert json.loads(out)["groups"] == blocks
     assert json.loads(witness.read_text())["groups"] == blocks
+
+
+@pytest.mark.parametrize(
+    "window",
+    [["--window-size", "-3"], ["--window-size", "0"], ["--window-size", "3", "--span", "0"]],
+    ids=["negative-window", "zero-window", "zero-span"],
+)
+def test_dp_window_below_group_size_exits_2(tmp_path, capsys, window):
+    """A window or span below d - 1 leaves no room for a group: the DP
+    refuses it instead of printing NO-STABLE on an instance with a stable
+    matching."""
+    names = [f"a{i}" for i in range(7)]
+    pairs = [[names[i], names[i + 2]] for i in range(5)]  # two interleaved chains
+    source = {"type": "master_poset", "pairs": pairs, "tiebreak": "canonical"}
+    doc = {"version": "1", "d": 3, "agents": names, "source": source}
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(doc))
+    assert brute_force_solve(parse_instance(path.read_text())) is not None
+    code, out = invoke(["--json", "solve", "--input", str(path), "--algo", "dp"] + window)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")

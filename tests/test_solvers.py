@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from mdsr import (
     auto_solve,
     brute_force_solve,
     default_window,
+    find_blocking,
     fpt_dp_solve,
     greedy_big_d_solve,
     group_span_bound,
@@ -142,6 +144,24 @@ def test_dp_sliding_matches_brute_force():
         if got is not None:
             assert is_stable(inst, got)
         checked += 1
+
+
+def test_dp_brute_force_fallback_is_fast():
+    """A floor against a return to full enumeration: the default window
+    covers a 15-agent canonical poset with kappa >= 1, so fpt_dp_solve runs
+    brute force under its cap of 18, which stops at the least stable
+    matching within seconds."""
+    rng = random.Random(15)
+    poset = random_poset(rng, 15, 0.7)
+    while poset.kappa() < 1:
+        poset = random_poset(rng, 15, 0.7)
+    inst = Instance.master_poset(3, [f"a{i}" for i in range(15)], poset)
+    assert default_window(poset.kappa(), 3) >= 14
+    start = time.perf_counter()
+    got = fpt_dp_solve(inst)
+    elapsed = time.perf_counter() - start
+    assert got is not None and find_blocking(inst, got) is None
+    assert elapsed < 5
 
 
 def test_sliding_dp_matches_reference():

@@ -152,14 +152,19 @@ def test_complete_matchings_are_the_maximal_matchings():
     for n in range(2, 9):
         for d in (2, 3, 4):
             if d <= n and n % d:
-                got = list(_matchings(n, d, n % d))
+                groups = itertools.combinations(range(n), d)
+                never = {g: tuple((a, float("inf")) for a in g) for g in groups}
+                got = list(_matchings(n, d, n % d, never))
                 assert sorted(got) == reference_maximal_matchings(n, d)
                 assert len(set(got)) == len(got)
 
 
-def _random_incomplete_instance(rng: random.Random, n: int, d: int) -> Instance:
+def _random_incomplete_instance(
+    rng: random.Random, n: int, d: int, cut_last: bool = False
+) -> Instance:
     """Random acceptable sets per agent, never all of them, ranked by
-    shuffled explicit lists or by a random strict order."""
+    shuffled explicit lists or by a random strict order.  With cut_last,
+    the last d agents are no acceptable group."""
     names = [f"a{i}" for i in range(n)]
     keep = rng.uniform(0.3, 0.9)
     acceptable = {}
@@ -167,6 +172,9 @@ def _random_incomplete_instance(rng: random.Random, n: int, d: int) -> Instance:
         own = [list(t) for t in itertools.combinations(names, d - 1) if a not in t]
         rng.shuffle(own)
         acceptable[a] = [t for t in own[1:] if rng.random() < keep]
+    if cut_last:
+        first, rest = names[n - d], names[n - d + 1 :]
+        acceptable[first] = [t for t in acceptable[first] if t != rest]
     if rng.random() < 0.5:
         return Instance.explicit(d, names, acceptable)
     order = Poset.from_ranking(rng.sample(range(n), n))
@@ -187,6 +195,29 @@ def test_enumerate_stable_incomplete_matches_plain_scan():
 
 
 KINDS = ("master_list", "ranking", "pairs", "explicit", "completion")
+
+
+def test_pruned_search_yields_stable_matchings_in_order():
+    """The pruned search yields exactly the stable matchings, already
+    sorted, and brute force returns the least: on complete instances of
+    every kind and on incomplete ones.  Half of the incomplete ones make
+    the last d agents an unacceptable group, so that a skip can yield the
+    prefix of matchings generated before it."""
+    rng = random.Random(13)
+    cases = []
+    for i in range(60):
+        d = rng.choice((2, 3, 4))
+        inst = random_complete_instance(rng, KINDS[i % len(KINDS)], rng.randint(d, 9), d)
+        cases.append((inst, plain_enumerate_stable(inst)))
+    for i in range(80):
+        d = rng.choice((2, 3))
+        inst = _random_incomplete_instance(rng, rng.randint(d, 9), d, cut_last=i % 2 == 1)
+        every = reference_matchings(_acceptable_groups(inst))
+        cases.append((inst, [m for m in every if plain_find_blocking(inst, m) is None]))
+    for inst, stable in cases:
+        got = list(stability._stable_matchings(inst, max_n=12))
+        assert got == sorted(got) == stable, (inst.n, inst.d)
+        assert brute_force_solve(inst) == min(stable, default=None), (inst.n, inst.d)
 
 
 def test_find_blocking_matches_plain_scan():

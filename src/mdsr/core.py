@@ -134,6 +134,8 @@ class Instance:
 
     def _set_agents(self, d, names) -> "Instance":
         """The agents and their name index, which names may already be."""
+        if d < 2:
+            raise ValidationError("group size d must be at least 2")
         self.d = d
         self.names = list(names)
         self._index = names if isinstance(names, dict) else dict(zip(self.names, range(self.n)))
@@ -213,6 +215,11 @@ class Instance:
     def is_complete(self) -> bool:
         return self.acceptability is None
 
+    @property
+    def is_canonical(self) -> bool:
+        """A master poset without a completion: one key, sorted lpo positions."""
+        return isinstance(self.source, MasterPoset) and self.source.completion is None
+
     def acceptable(self, a: int, t: TupleSet) -> bool:
         if self.acceptability is None:
             return a not in t
@@ -230,12 +237,17 @@ class Instance:
             self._lpo = lpo_order(self.source.poset)
         return self._lpo
 
+    def lpo_blocks(self) -> Matching:
+        """Consecutive blocks of d agents along the lpo order, the last
+        n mod d agents unmatched."""
+        order, d = self.lpo().order, self.d
+        # Slices of a permutation: each block is a set, sorted once.
+        return normalize_matching(order[i : i + d] for i in range(0, self.n - d + 1, d))
+
     # -- validation -------------------------------------------------------
 
     def _validate(self) -> None:
         n, d = self.n, self.d
-        if d < 2:
-            raise ValidationError("group size d must be at least 2")
         if d > n:
             raise ValidationError(f"d={d} exceeds agent count n={n}")
         if len(self._index) != n:
@@ -323,7 +335,7 @@ class Instance:
         if isinstance(src, MasterListSets):
             master = {t: i for i, t in enumerate(src.order)}
             return lambda a, t: master[t]
-        if isinstance(src, MasterPoset) and src.completion is None:
+        if self.is_canonical:
             pos, n = self.lpo().position, self.n
             return lambda a, t: position_key(sorted(map(pos.__getitem__, t)), n)
         lists = src.lists if isinstance(src, Explicit) else src.completion
@@ -362,8 +374,7 @@ class Instance:
 
         excluded = set(excluded)
         excluded.add(a)
-        src = self.source
-        if isinstance(src, MasterPoset) and src.completion is None and self.acceptability is None:
+        if self.is_canonical and self.is_complete:
             allowed = (v for v in self.lpo().order if v not in excluded)
             best = tuple(islice(allowed, self.d - 1))
             if len(best) < self.d - 1:

@@ -49,18 +49,26 @@ def _require_poset(instance: Instance) -> None:
 
 
 def strict_order_solve(instance: Instance) -> Matching:
-    """The unique stable matching when the master poset is a strict order:
-    consecutive blocks of d agents along the order, the trailing n mod d
-    agents unmatched."""
+    """The unique stable matching, the lpo blocks, of a complete canonical
+    master poset (any kappa) or a completion of a strict order; raises
+    NotStrictOrder on a completion of a poset with kappa > 0.
+
+    In lpo positions, if t lies pointwise at or below t' != t, every agent
+    ranks t above t': the canonical key is lexicographic, and in a strict
+    order t dominates t'.  Stable: let p be the least position of a group
+    g, in block B starting at s.  The agent x at p holds B - x, the
+    pointwise least (d-1)-set of positions >= s other than p, and g - x is
+    another, so x does not gain and g cannot block.  (Fewer than d
+    positions lie at or above an unmatched one.)  Unique: every agent of
+    the first block holds its first choice, and any matching without that
+    block is blocked by it.  Remove the block and repeat.
+    """
     _require_poset(instance)
-    lpo = instance.lpo()
-    if lpo.kappa:
-        raise NotStrictOrder("the master poset has incomparable agents")
+    if instance.lpo().kappa and not instance.is_canonical:
+        raise NotStrictOrder("the completion is of a poset with incomparable agents")
     if not instance.is_complete:
         raise IncompletePreferences("complete preferences are required")
-    order, d = lpo.order, instance.d
-    # Slices of a permutation: each block is a set, sorted once.
-    return normalize_matching(order[i : i + d] for i in range(0, instance.n - d + 1, d))
+    return instance.lpo_blocks()
 
 
 @dataclass(frozen=True)
@@ -131,13 +139,13 @@ def fpt_dp_solve(
     """Find a stable matching, or None, by a sliding-window dynamic
     program over the agent order.
 
-    With default parameters the window always covers every instance small
-    enough to enumerate (the theoretical window grows like kappa*d^4), so
-    the search degenerates to an exact scan; larger instances raise
-    WindowTooLarge.  Overriding window_size/span runs the genuine sliding
-    program; it is exact whenever the window is at least the theoretical
-    bound, and any matching it returns is re-validated.  A window or span
-    below d - 1 leaves no room for a group and raises PreconditionViolated.
+    The theoretical window grows like kappa*d^4, too wide to slide, so the
+    default window_size searches exactly: brute force up to window_cap
+    agents, WindowTooLarge above it.  A given window_size below n - 1 runs
+    the sliding program; it is exact whenever the window is at least the
+    theoretical bound, and any matching it returns is re-validated.  A
+    window or span below d - 1 leaves no room for a group and raises
+    PreconditionViolated.
 
     The program reveals one order position r per step, r = 0..n-1, and
     may close a group ending at r whose members lie within span positions
@@ -160,10 +168,10 @@ def fpt_dp_solve(
         )
     s = min(s, k)
 
-    if k >= n - 1:
+    if window_size is None or k >= n - 1:
         if n > window_cap:
             raise WindowTooLarge(
-                f"window {k} covers all n={n} agents but n exceeds the "
+                f"window {k} is searched exactly, but n={n} exceeds the "
                 f"enumeration cap {window_cap}"
             )
         from .stability import brute_force_solve
@@ -260,18 +268,18 @@ def _head_first(groups) -> tuple:
 
 
 def plan(instance: Instance) -> str:
-    """The algorithm that auto_solve and `mdsr solve` run on an instance.
-
-    "brute" unless the source is a master poset and preferences are
-    complete; then "strict" for a strict order (kappa = 0), "greedy" when
-    4*kappa*2^(4*kappa) <= d, and the window DP ("dp") otherwise.
+    """The algorithm that auto_solve and `mdsr solve` run on an instance:
+    "brute" unless the source is a master poset with complete preferences;
+    then "greedy" when kappa >= 1 and 4*kappa*2^(4*kappa) <= d (it stays
+    first on canonical posets, where it too returns the lpo blocks), else
+    "strict" for kappa = 0 or a canonical source, else the window DP "dp".
     """
     if not isinstance(instance.source, MasterPoset) or not instance.is_complete:
         return "brute"
     kappa = instance.lpo().kappa
-    if kappa == 0:
-        return "strict"
-    return "greedy" if _greedy_applies(kappa, instance.d) else "dp"
+    if kappa and _greedy_applies(kappa, instance.d):
+        return "greedy"
+    return "strict" if kappa == 0 or instance.is_canonical else "dp"
 
 
 def auto_solve(instance: Instance) -> Optional[Matching]:

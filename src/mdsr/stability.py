@@ -3,14 +3,15 @@
 Both work on the integer keys of Instance.rank_key over one list of
 candidate groups: every d-set for complete preferences, else the groups
 acceptable to all their members.  A group blocks iff each member's key
-for the others beats its key for its current partners.  Master lists and
-canonical posets rank tuple-sets by one shared key, so find_blocking first
-decides by a pruned search whether any group blocks: master lists walk the
-master order and anchor each group at its member with the best current
-partners; canonical posets build groups in lpo order, cutting a branch
-once an earlier member cannot gain.  Only if some group blocks, or at once
-for other sources, a scan of the candidates in index order finds the
-least.  The guard still bounds C(n, d) for every complete source.
+for the others beats its key for its current partners.  find_blocking
+first decides whether any group blocks without scanning, where the source
+allows: a complete canonical poset has one stable matching, its lpo
+blocks, so m is stable iff it equals them; a master list, which can lack
+any stable matching, is decided by a pruned search that walks the master
+order and anchors each group at its member with the best current
+partners.  Only if some group blocks, or at once for other sources, a scan
+of the candidates in index order finds the least.  The guard still bounds
+C(n, d) for every complete source.
 
 Brute force is one pruned depth-first search over matchings.  It settles
 agents in index order, each put in a group or left unmatched, and tests
@@ -27,8 +28,8 @@ from itertools import combinations
 from math import comb, inf
 from typing import Iterable, Iterator, Optional
 
-from .core import Group, Instance, MasterListSets, MasterPoset, Matching
-from .core import matching_violations, position_key, tupleset
+from .core import Group, Instance, MasterListSets, Matching
+from .core import matching_violations, normalize_matching, tupleset
 from .errors import TooLarge, ValidationError
 
 
@@ -77,26 +78,24 @@ def find_blocking(
     """The lexicographically least blocking group, or None if m is stable.
 
     guard bounds C(n, d) on complete instances, before any key is computed.
-    Master lists and canonical posets return None unless the pruned search
-    finds a blocking group; then, or at once for other sources, the index-
-    order scan of the candidate groups finds the least.
+    A canonical poset is stable iff m equals its lpo blocks; a master list
+    iff the pruned search finds no blocking group.  Otherwise, or at once
+    for other sources, the index-order scan finds the least.
     """
     problems = matching_violations(instance, m)
     if problems:
         raise ValidationError("; ".join(problems))
-    n, d = instance.n, instance.d
-    if instance.is_complete and comb(n, d) > guard:
+    n, src, complete = instance.n, instance.source, instance.is_complete
+    if complete and comb(n, instance.d) > guard:
         raise TooLarge("too many candidate groups to scan")
+    if complete and instance.is_canonical and normalize_matching(m) == instance.lpo_blocks():
+        return None
     partners = _partner_map(instance, m)
     key = instance.rank_key
     cur = [key(a, partners[a]) if a in partners else inf for a in range(n)]
-    src = instance.source
-    if instance.is_complete:
-        if isinstance(src, MasterListSets) and not _master_list_blocked(key, src.order, cur):
+    if complete and isinstance(src, MasterListSets):
+        if not _master_list_blocked(key, src.order, cur):
             return None
-        if isinstance(src, MasterPoset) and src.completion is None:
-            if not _canonical_blocked(instance.lpo().order, cur, d):
-                return None
     for group in _candidate_groups(instance):
         if all(key(a, group[:i] + group[i + 1 :]) < cur[a] for i, a in enumerate(group)):
             return is_blocking(instance, m, group, partners)
@@ -118,29 +117,6 @@ def _master_list_blocked(key, order, cur) -> bool:
             ):
                 return True
     return False
-
-
-def _canonical_blocked(order, cur, d: int) -> bool:
-    """True iff some group blocks under the canonical position_key.  Groups
-    are built in increasing position, each member tested against the best
-    completion, the positions right after the last chosen.  Keys only grow
-    with later positions: once an earlier member fails, later choices do."""
-    n, limit = len(order), [cur[a] for a in order]
-
-    def gains(group, i, tail) -> bool:
-        return position_key(group[:i] + group[i + 1 :] + tail, n) < limit[group[i]]
-
-    def search(group: tuple) -> bool:
-        j = d - len(group)  # members still to place, this level's included
-        for q in range(group[-1] + 1 if group else 0, n - j + 1):
-            g, tail = group + (q,), tuple(range(q + 1, q + j))
-            if not all(gains(g, i, tail) for i in range(len(group))):
-                return False
-            if gains(g, len(group), tail) and (j == 1 or search(g)):
-                return True
-        return False
-
-    return search(())
 
 
 def is_stable(instance: Instance, m: Matching) -> bool:

@@ -207,6 +207,8 @@ ORDER3 = {
         _doc(ORDER, acceptability={"a": [["b"]]}),
         _doc(dict(RANKING, tiebreak="explicit")),
         _doc(dict(RANKING, tiebreak="explicit", completion=EXPLICIT["lists"] | {"c": [["a"]]})),
+        _doc({"type": "explicit", "lists": {}}, d=0),
+        _doc({"type": "explicit", "lists": {}}, d=-1),
     ],
     ids=[
         "missing-lists",
@@ -229,6 +231,8 @@ ORDER3 = {
         "master-list-acceptability",
         "explicit-tiebreak-without-completion",
         "completion-list-incomplete",
+        "d-zero",
+        "d-negative",
     ],
 )
 def test_malformed_document_exits_2(tmp_path, capsys, doc):

@@ -77,8 +77,9 @@ def test_strict_order_solve_follows_the_ranking():
 
 
 def test_strict_order_solve_rejects_posets_and_incomplete():
-    poset = Poset.from_pairs([(0, 1)], 3)
-    inst = Instance.master_poset(3, ["a", "b", "c"], poset)
+    # a completion of a poset with kappa = 3
+    inst = nostable_poset_instance()
+    assert inst.lpo().kappa > 0
     with pytest.raises(NotStrictOrder):
         strict_order_solve(inst)
     partial = Instance.master_poset(
@@ -92,18 +93,42 @@ def test_strict_order_solve_rejects_posets_and_incomplete():
 
 
 def test_strict_chain_uniqueness_small():
+    from mdsr import enumerate_stable
+
     for d in (2, 3, 4):
         for n in range(d, 10):
             inst = chain_instance(n, d)
-            from mdsr import enumerate_stable
-
             assert enumerate_stable(inst) == [strict_order_solve(inst)]
+    # canonical posets with incomparable agents: the lpo blocks are still
+    # the one stable matching
+    rng = random.Random(12)
+    checked = 0
+    while checked < 60:
+        d = rng.choice((2, 3, 4))
+        n = rng.randint(d + 1, 10)
+        poset = random_poset(rng, n, rng.uniform(0.1, 0.8))
+        if poset.kappa() == 0:
+            continue
+        inst = Instance.master_poset(d, [f"a{i}" for i in range(n)], poset)
+        assert enumerate_stable(inst) == [strict_order_solve(inst)], (n, d)
+        checked += 1
 
 
 def test_dp_degenerates_to_exact_search():
     inst = chain_instance(6, 3)
     assert fpt_dp_solve(inst) == strict_order_solve(inst)
     assert fpt_dp_solve(nostable_poset_instance()) is None
+
+
+def test_dp_default_window_past_the_cap_raises_at_once():
+    # n - 1 exceeds the default window 152, which a sliding run cannot
+    # finish; the default window takes the exact path and refuses
+    inst = two_level_instance(200, 2)
+    assert default_window(1, 2) < 199
+    start = time.perf_counter()
+    with pytest.raises(WindowTooLarge):
+        fpt_dp_solve(inst)
+    assert time.perf_counter() - start < 1
 
 
 def test_dp_window_cap():
@@ -264,6 +289,7 @@ def test_auto_solve_dispatch(tmp_path):
     master = Instance.master_list(3, list("abcdef"), [list(t) for t in INTRO_MASTER])
     cases = [
         (chain, "strict"),
+        (two_level_instance(40, 3), "strict"),
         (greedy_inst, "greedy"),
         (dp_inst, "dp"),
         (master, "brute"),
@@ -280,3 +306,25 @@ def test_auto_solve_dispatch(tmp_path):
         got = auto_solve(inst)
         groups = None if got is None else sorted(sorted(inst.group_names(g)) for g in got)
         assert groups == solved["groups"]
+
+
+def test_canonical_ladder_solves_by_lpo_blocks(tmp_path):
+    """A floor: a 10^4-agent canonical ladder (kappa = 1, d = 3) solves by
+    its lpo blocks, consecutive index blocks, through the CLI."""
+    big = two_level_instance(10**4, 3)
+    assert plan(big) == "strict"
+    path = tmp_path / "big.json"
+    path.write_text(serialize_instance(big))
+    start = time.perf_counter()
+    solved = _cli_json(["solve", "--input", str(path)])
+    assert time.perf_counter() - start < 5
+    assert (solved["verdict"], solved["algo"], solved["validated"]) == ("STABLE", "strict", True)
+    want = [[f"a{i}" for i in range(j, j + 3)] for j in range(0, 10**4 - 2, 3)]
+    assert sorted(solved["groups"]) == sorted(sorted(g) for g in want)
+    small = tmp_path / "small.json"
+    small.write_text(serialize_instance(two_level_instance(40, 3)))
+    witness = tmp_path / "witness.json"
+    solved = _cli_json(["solve", "--input", str(small), "--witness", str(witness)])
+    assert (solved["verdict"], solved["algo"]) == ("STABLE", "strict")
+    checked = _cli_json(["check", "--instance", str(small), "--matching", str(witness)])
+    assert checked["verdict"] == "STABLE"

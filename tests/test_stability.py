@@ -32,6 +32,7 @@ from util import (
     random_poset,
     reference_matchings,
     reference_maximal_matchings,
+    two_level_instance,
 )
 
 
@@ -266,3 +267,10 @@ def test_find_blocking_guard_trips_before_partner_map(monkeypatch):
     # a malformed matching is still reported first
     with pytest.raises(ValidationError):
         find_blocking(inst, ((0, 1, 2), (2, 3, 4)), guard=10)
+    # a canonical poset (kappa = 1 here) is stable iff m equals its lpo
+    # blocks, in any order of groups and members, decided before the map
+    ladder = two_level_instance(12, 3)
+    blocks = strict_order_solve(ladder)
+    unsorted = tuple(tuple(reversed(g)) for g in reversed(blocks))
+    assert unsorted != blocks
+    assert find_blocking(ladder, unsorted) is None

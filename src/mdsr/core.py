@@ -444,12 +444,13 @@ def is_derived_from_master_list(
 def _swaps(lst: Sequence[TupleSet], pools: Mapping[int, Sequence[int]]):
     """(u, v) for each entry t, member u of t and agent v of pools[u] outside
     t with t - u + v also on lst and ranked after t: lst puts u above v."""
-    rank = {t: i for i, t in enumerate(lst)}
+    masks = [sum(1 << a for a in t) for t in lst]  # an entry as a set of bits
+    rank = {m: i for i, m in enumerate(masks)}
     for r, t in enumerate(lst):
-        for i, u in enumerate(t):
-            rest = t[:i] + t[i + 1 :]
+        for u in t:
+            rest = masks[r] ^ (1 << u)
             for v in pools[u]:
-                if v not in t and rank.get(tuple(sorted(rest + (v,))), -1) > r:
+                if v not in t and rank.get(rest | (1 << v), -1) > r:
                     yield u, v
 
 

@@ -3,10 +3,11 @@ program over the agent order, and the large-d greedy construction."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations
-from math import inf
+from functools import cache, reduce
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Optional
 
 from .core import (
@@ -201,6 +202,15 @@ def _sliding_dp(instance: Instance, k: int, s: int) -> Optional[Matching]:
     neither it nor its partners change afterwards; so step r checks only
     the d-sets of settled positions in [r-k-1, r] holding a newly settled
     one, and each d-set is checked once, when its last member settles.
+
+    A check is a few operations on int masks over the at most C(k+2, d)
+    d-sets of [lo, r], lo = max(0, r-k-1), numbered within the window:
+    holds[p - lo] marks the d-sets holding p, and loses(g) those in which
+    a member of g ranks the set no better than g.  A state and a new group
+    (or none) survive iff every d-set that holds a newly settled position
+    or a member of the new group, but no position still unsettled, is in
+    loses of the new group or of a group of the state.  Each step builds
+    its masks from d*C(k+2, d) rank keys, whatever the number of states.
     """
     order, rank_key = instance.lpo().order, instance.rank_key
     n, d = instance.n, instance.d
@@ -209,34 +219,53 @@ def _sliding_dp(instance: Instance, k: int, s: int) -> Optional[Matching]:
     def rank(p, group):  # position p's rank key of the rest of group
         return rank_key(order[p], tupleset(order[q] for q in group if q != p))
 
-    def settled(p, t, covered) -> bool:  # at step t
-        return p in covered or p < t + 1 - s or t == n - 1
-
-    def blocked(limit, old, fresh) -> bool:
-        for i, f in enumerate(fresh):
-            for rest in combinations(old + fresh[:i], d - 1):
-                cand = rest + (f,)
-                if all(rank(p, cand) < limit.get(p, inf) for p in cand):
-                    return True
-        return False
+    @cache
+    def window(w):  # the d-sets of range(w), and per position their bits
+        sets = list(combinations(range(w), d))
+        return sets, [sum(1 << b for b, c in enumerate(sets) if j in c) for j in range(w)]
 
     states: dict = {(frozenset(), 0): None}
     for r in range(n):
         lo, layer = max(0, r - k - 1), {}
+        sets, holds = window(r + 1 - lo)
+        keys = [[] for _ in holds]  # (rank key, bit) of each d-set per position
+        for bit, c in enumerate(sets):
+            cand = tuple(lo + j for j in c)
+            for j in c:
+                keys[j].append((rank(lo + j, cand), 1 << bit))
+        tails = []  # per position: its keys ascending, the bits of keys >= each
+        for pairs in keys:
+            pairs.sort()
+            tail = accumulate((bit for _, bit in reversed(pairs)), or_, initial=0)
+            tails.append(([key for key, _ in pairs], list(tail)[::-1]))
+
+        @cache
+        def loses(g):  # the d-sets in which a member of g fares no better
+            mask = 0
+            for p in g:
+                if p >= lo:
+                    ranked, tail = tails[p - lo]
+                    mask |= tail[bisect_left(ranked, rank(p, g))]
+            return mask
+
+        cut = r + 1 if r == n - 1 else r + 1 - s  # pending below cut settle at r
         for (groups, unmatched), chain in states.items():
             covered = {p for g in groups for p in g}
-            if r > k and r - k - 1 not in covered:
+            if r > k and lo not in covered:
                 unmatched += 1
                 if unmatched >= d:
                     continue  # d unmatched agents always block
             kept = frozenset(g for g in groups if g[-1] >= r - k)
-            limit = {p: rank(p, g) for g in groups for p in g if p >= lo}
-            old = [p for p in range(lo, r) if settled(p, r - 1, covered)]
-            pending = [p for p in range(lo, r + 1) if not settled(p, r - 1, covered)]
-            free = [p for p in range(max(0, r - k, r - s), r) if p not in covered]
-            for new in [()] + [c + (r,) for c in combinations(free, d - 1)]:
-                fresh = [p for p in pending if p in new or settled(p, r, covered)]
-                if blocked({**limit, **{p: rank(p, new) for p in new}}, old, fresh):
+            lost = reduce(or_, map(loses, groups), 0)
+            pending = [p for p in range(max(0, r - s), r + 1) if p not in covered]
+            for new in [()] + [c + (r,) for c in combinations(pending[:-1], d - 1)]:
+                fresh = unsettled = 0
+                for p in pending:
+                    if p < cut or p in new:
+                        fresh |= holds[p - lo]
+                    else:
+                        unsettled |= holds[p - lo]
+                if fresh & ~unsettled & ~(lost | loses(new)):
                     continue
                 nkey = (kept | {new} if new else kept, unmatched)
                 if nkey not in layer:

@@ -189,10 +189,21 @@ def test_dp_brute_force_fallback_is_fast():
     assert elapsed < 5
 
 
-def test_sliding_dp_matches_reference():
+def _matches_reference(inst, windows):
     # The one-loop DP against the earlier design kept in util, on windows
     # below n - 1, sound or not: the same answer (so the same verdict), and
     # a result that is a matching whose groups span at most s positions.
+    pos = inst.lpo().position
+    for k, s in windows:
+        got = _sliding_dp(inst, k, s)
+        assert got == reference_sliding_dp(inst, k, s)
+        if got is not None:
+            assert not matching_violations(inst, got)
+            spans = [max(pos[a] for a in g) - min(pos[a] for a in g) for g in got]
+            assert max(spans, default=0) <= s
+
+
+def test_sliding_dp_matches_reference():
     rng = random.Random(11)
     checked = 0
     while checked < 150:
@@ -205,18 +216,32 @@ def test_sliding_dp_matches_reference():
             inst = random_completion_instance(rng, n, d, poset)
         else:
             inst = Instance.master_poset(d, [f"a{i}" for i in range(n)], poset)
-        pos = inst.lpo().position
         windows = {(1, 1), (2, 2), (3, 1), (n // 2, 2), (n - 2, 3)}
         if n <= 8:
             windows.add((n - 2, n - 2))
-        for k, s in windows:
-            got = _sliding_dp(inst, k, s)
-            assert got == reference_sliding_dp(inst, k, s)
-            if got is not None:
-                assert not matching_violations(inst, got)
-                spans = [max(pos[a] for a in g) - min(pos[a] for a in g) for g in got]
-                assert max(spans, default=0) <= s
+        _matches_reference(inst, windows)
         checked += 1
+    # Groups of four, and explicit completions at the benchmark's
+    # forced-window shape: n = 9, 10 with k = s = n - 3.
+    checked = 0
+    while checked < 24:
+        d, n = (4, rng.randint(7, 9)) if checked < 12 else (3, rng.choice([9, 10]))
+        poset = random_poset(rng, n, rng.uniform(0.5, 0.95))
+        if poset.kappa() > 3:
+            continue
+        inst = random_completion_instance(rng, n, d, poset)
+        windows = {(n - 3, n - 3)}
+        if d == 4:
+            windows |= {(3, 3), (n // 2, 3), (n - 2, 4)}
+        _matches_reference(inst, windows)
+        checked += 1
+
+
+def test_sliding_dp_over_many_window_slides():
+    # Long instances slide the window about 300 times, past the first
+    # window (r <= k) and up to the last step, one agent left over on 301.
+    for inst in (chain_instance(300, 3), two_level_instance(300, 3), chain_instance(301, 3)):
+        assert fpt_dp_solve(inst, window_size=8, span=6) == strict_order_solve(inst)
 
 
 def test_greedy_kappa_zero_equals_strict():

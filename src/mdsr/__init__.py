@@ -6,7 +6,6 @@ from .core import (
     Instance,
     MasterListSets,
     MasterPoset,
-    canonical_rank,
     dominates,
     is_derived_from_master_list,
     is_derived_from_poset,
@@ -39,7 +38,6 @@ from .errors import (
     TooLarge,
     UnacceptableSet,
     ValidationError,
-    WindowTooLarge,
 )
 from .io import (
     parse_instance,

@@ -95,11 +95,7 @@ def dominates(poset: Poset, t: TupleSet, tp: TupleSet) -> bool:
     k = len(t)
     adj = []
     for a in t:
-        if poset.is_ranking:
-            row = [j for j, b in enumerate(tp) if poset.geq(a, b)]
-        else:
-            below = poset.weakly_below(a)
-            row = [j for j, b in enumerate(tp) if below >> b & 1]
+        row = [j for j, b in enumerate(tp) if poset.geq(a, b)]
         if not row:
             return False
         adj.append(row)
@@ -108,14 +104,9 @@ def dominates(poset: Poset, t: TupleSet, tp: TupleSet) -> bool:
     return maximum_bipartite_matching(adj, k) == k
 
 
-def canonical_rank(poset: Poset, lpo: LpoOrder, t: TupleSet) -> tuple[int, ...]:
-    """Sorted vector of lpo positions; lexicographically smaller = preferred."""
-    return tuple(sorted(lpo.position[a] for a in t))
-
-
 def position_key(positions: Iterable[int], n: int) -> int:
     """Sorted lpo positions read as base-n digits: integer order is the
-    lexicographic order of canonical_rank."""
+    lexicographic order of the position vectors."""
     k = 0
     for p in positions:
         k = k * n + p

@@ -37,10 +37,6 @@ class TooLarge(MdsrError):
     """An enumeration guard was exceeded."""
 
 
-class WindowTooLarge(TooLarge):
-    """The dynamic program's window exceeds the enumeration cap."""
-
-
 class NotStrictOrder(MdsrError):
     """The master poset is not a total order."""
 

@@ -62,12 +62,6 @@ class Poset:
     def geq(self, u: int, v: int) -> bool:
         return u == v or self.greater(u, v)
 
-    def weakly_below(self, v: int) -> int:
-        """Bitmask of the agents u with v >= u (O(n) for a ranking)."""
-        if self._rank is not None:
-            return sum(1 << u for u in self.ranking[self._rank[v] :])
-        return self._gt[v] | 1 << v
-
     def incomparable(self, u: int, v: int) -> bool:
         return u != v and not self.greater(u, v) and not self.greater(v, u)
 

@@ -23,7 +23,6 @@ from .errors import (
     IncompletePreferences,
     NotStrictOrder,
     PreconditionViolated,
-    WindowTooLarge,
 )
 from .stability import find_blocking
 
@@ -96,7 +95,8 @@ def greedy_big_d_solve(instance: Instance) -> GreedyResult:
     Repeatedly, among the first d-2*kappa remaining agents in the order,
     build each agent's top group over the remaining agents; some group is
     proposed by at least 4*kappa of them and no later blocking set can
-    touch it.  Each step records that multiplicity as its certificate.
+    touch it.  Each step records that multiplicity as its certificate,
+    and the matching is checked with find_blocking before it is returned.
     """
     _require_poset(instance)
     if not instance.is_complete:
@@ -128,7 +128,13 @@ def greedy_big_d_solve(instance: Instance) -> GreedyResult:
         matched.update(group)
         remaining = [a for a in remaining if a not in group]
         steps.append(GreedyStep(group, multiplicity))
-    return GreedyResult(normalize_matching(groups), tuple(steps))
+    matching = normalize_matching(groups)
+    report = find_blocking(instance, matching)
+    if report is not None:
+        raise CertificateFailure(
+            f"greedy matching is blocked by {report.group} despite its certificates"
+        )
+    return GreedyResult(matching, tuple(steps))
 
 
 def fpt_dp_solve(
@@ -142,7 +148,7 @@ def fpt_dp_solve(
 
     The theoretical window grows like kappa*d^4, too wide to slide, so the
     default window_size searches exactly: brute force up to window_cap
-    agents, WindowTooLarge above it.  A given window_size below n - 1 runs
+    agents, TooLarge above it.  A given window_size below n - 1 runs
     the sliding program; it is exact whenever the window is at least the
     theoretical bound, and any matching it returns is re-validated.  A
     window or span below d - 1 leaves no room for a group and raises
@@ -170,11 +176,6 @@ def fpt_dp_solve(
     s = min(s, k)
 
     if window_size is None or k >= n - 1:
-        if n > window_cap:
-            raise WindowTooLarge(
-                f"window {k} is searched exactly, but n={n} exceeds the "
-                f"enumeration cap {window_cap}"
-            )
         from .stability import brute_force_solve
 
         return brute_force_solve(instance, max_n=window_cap)

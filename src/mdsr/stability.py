@@ -6,12 +6,13 @@ acceptable to all their members.  A group blocks iff each member's key
 for the others beats its key for its current partners.  find_blocking
 first decides whether any group blocks without scanning, where the source
 allows: a complete canonical poset has one stable matching, its lpo
-blocks, so m is stable iff it equals them; a master list, which can lack
-any stable matching, is decided by a pruned search that walks the master
-order and anchors each group at its member with the best current
-partners.  Only if some group blocks, or at once for other sources, a scan
-of the candidates in index order finds the least.  The guard still bounds
-C(n, d) for every complete source.
+blocks, so m is stable iff it equals them, decided before any guard; a
+master list, which can lack any stable matching, is decided by a pruned
+search that walks the master order and anchors each group at its member
+with the best current partners.  Only if some group blocks, or at once for
+other sources, a scan of the candidates in index order finds the least.
+The guard bounds C(n, d) for the search and the scan on every complete
+source.
 
 Brute force is one pruned depth-first search over matchings.  It settles
 agents in index order, each put in a group or left unmatched, and tests
@@ -77,19 +78,19 @@ def find_blocking(
 ) -> Optional[BlockingReport]:
     """The lexicographically least blocking group, or None if m is stable.
 
-    guard bounds C(n, d) on complete instances, before any key is computed.
-    A canonical poset is stable iff m equals its lpo blocks; a master list
-    iff the pruned search finds no blocking group.  Otherwise, or at once
-    for other sources, the index-order scan finds the least.
+    A canonical poset is stable iff m equals its lpo blocks, whatever the
+    guard.  Otherwise guard bounds C(n, d) on complete instances, before
+    any key is computed; a master list is stable iff the pruned search
+    finds no blocking group, and the index-order scan finds the least.
     """
     problems = matching_violations(instance, m)
     if problems:
         raise ValidationError("; ".join(problems))
     n, src, complete = instance.n, instance.source, instance.is_complete
-    if complete and comb(n, instance.d) > guard:
-        raise TooLarge("too many candidate groups to scan")
     if complete and instance.is_canonical and normalize_matching(m) == instance.lpo_blocks():
         return None
+    if complete and comb(n, instance.d) > guard:
+        raise TooLarge("too many candidate groups to scan")
     partners = _partner_map(instance, m)
     key = instance.rank_key
     cur = [key(a, partners[a]) if a in partners else inf for a in range(n)]

@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+import mdsr.solvers
 from mdsr import (
+    BlockingReport,
     brute_force_solve,
     fpt_dp_solve,
     greedy_big_d_solve,
@@ -15,6 +17,7 @@ from mdsr import (
     strict_order_solve,
 )
 from mdsr.cli import run
+from mdsr.errors import CertificateFailure
 
 from util import (
     chain_instance,
@@ -424,12 +427,32 @@ def test_solve_witness_is_serialize_matching(tmp_path):
         argv = ["--json", "solve", "--input", str(path), "--witness", str(witness)]
         code, out = invoke(argv + ["--algo", algo])
         assert code == 0
+        payload = json.loads(out)
         m = solve(inst)
         if m is None:
-            assert json.loads(out)["groups"] is None and not witness.exists()
+            assert payload["groups"] is None and not witness.exists()
             continue
+        # greedy too: the d = 64 ladders print STABLE, validated
+        assert (payload["verdict"], payload["validated"]) == ("STABLE", True)
         assert witness.read_bytes() == serialize_matching(inst, m).encode()
-        assert json.loads(out)["groups"] == json.loads(witness.read_text())["groups"]
+        assert payload["groups"] == json.loads(witness.read_text())["groups"]
+
+
+def test_blocked_greedy_matching_is_refused(tmp_path, monkeypatch, capsys):
+    """greedy_big_d_solve checks its own matching: a blocked one raises
+    CertificateFailure, exit 2 through the CLI, instead of being printed."""
+    inst = two_level_instance(128, 64)
+
+    def blocked(instance, m):
+        return BlockingReport(m[0], ())
+
+    monkeypatch.setattr(mdsr.solvers, "find_blocking", blocked)
+    with pytest.raises(CertificateFailure, match="greedy matching is blocked"):
+        greedy_big_d_solve(inst)
+    path = write_instance(tmp_path, inst)
+    code, out = invoke(["--json", "solve", "--input", path, "--algo", "greedy"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: greedy matching is blocked")
 
 
 def test_solve_large_shuffled_ranking(tmp_path):

@@ -7,7 +7,6 @@ import mdsr.core
 from mdsr import (
     Instance,
     Poset,
-    canonical_rank,
     dominates,
     is_derived_from_master_list,
     is_derived_from_poset,
@@ -172,10 +171,9 @@ def test_complete_lists_are_checked_without_dominates(monkeypatch):
 
 def test_canonical_rank_orders_position_vectors():
     inst = chain_instance(6, 3)
-    poset = inst.source.poset
-    lpo = inst.lpo()
-    assert canonical_rank(poset, lpo, (0, 1)) < canonical_rank(poset, lpo, (0, 2))
-    assert canonical_rank(poset, lpo, (0, 5)) < canonical_rank(poset, lpo, (1, 2))
+    key = inst.rank_key
+    assert key(3, (0, 1)) < key(3, (0, 2))
+    assert key(3, (0, 5)) < key(3, (1, 2))
     assert inst.prefers(3, (0, 1), (1, 2))
 
 

@@ -20,6 +20,7 @@ from mdsr import (
     locality_bound,
     plan,
     serialize_instance,
+    serialize_matching,
     strict_order_solve,
 )
 from mdsr.cli import run
@@ -28,7 +29,7 @@ from mdsr.errors import (
     IncompletePreferences,
     NotStrictOrder,
     PreconditionViolated,
-    WindowTooLarge,
+    TooLarge,
 )
 from mdsr.solvers import _sliding_dp
 
@@ -126,7 +127,7 @@ def test_dp_default_window_past_the_cap_raises_at_once():
     inst = two_level_instance(200, 2)
     assert default_window(1, 2) < 199
     start = time.perf_counter()
-    with pytest.raises(WindowTooLarge):
+    with pytest.raises(TooLarge):
         fpt_dp_solve(inst)
     assert time.perf_counter() - start < 1
 
@@ -137,7 +138,7 @@ def test_dp_window_cap():
     pairs = [(i, i + 2) for i in range(23)]
     poset = Poset.from_pairs(pairs, 25)
     inst = Instance.master_poset(3, [f"a{i}" for i in range(25)], poset)
-    with pytest.raises(WindowTooLarge):
+    with pytest.raises(TooLarge):
         fpt_dp_solve(inst)
 
 
@@ -237,11 +238,19 @@ def test_sliding_dp_matches_reference():
         checked += 1
 
 
-def test_sliding_dp_over_many_window_slides():
+def test_sliding_dp_over_many_window_slides(tmp_path):
     # Long instances slide the window about 300 times, past the first
     # window (r <= k) and up to the last step, one agent left over on 301.
-    for inst in (chain_instance(300, 3), two_level_instance(300, 3), chain_instance(301, 3)):
+    # The 845-agent chain, the least with C(n, 3) > 10^8, is validated by
+    # its lpo blocks without tripping the scan guard, also by mdsr check.
+    long = chain_instance(845, 3)
+    for inst in (chain_instance(300, 3), two_level_instance(300, 3), chain_instance(301, 3), long):
         assert fpt_dp_solve(inst, window_size=8, span=6) == strict_order_solve(inst)
+    path, witness = tmp_path / "chain.json", tmp_path / "blocks.json"
+    path.write_text(serialize_instance(long))
+    witness.write_text(serialize_matching(long, long.lpo_blocks()))
+    checked = _cli_json(["check", "--instance", str(path), "--matching", str(witness)])
+    assert checked["verdict"] == "STABLE"
 
 
 def test_greedy_kappa_zero_equals_strict():

@@ -22,6 +22,7 @@ from mdsr import stability
 from mdsr.stability import _acceptable_groups, _matchings
 
 from util import (
+    INTRO_MASTER,
     chain_instance,
     intro_instance,
     plain_enumerate_stable,
@@ -85,10 +86,16 @@ def test_find_blocking_validates_structure():
 
 
 def test_find_blocking_guard():
+    # the guard bounds only the search and the scan: a canonical poset's
+    # lpo blocks are decided before it, any other matching trips it
     inst = chain_instance(9, 3)
     m = normalize_matching([(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+    assert find_blocking(inst, m, guard=10) is None
     with pytest.raises(TooLarge):
-        find_blocking(inst, m, guard=10)
+        find_blocking(inst, normalize_matching([(0, 1, 3), (2, 4, 5), (6, 7, 8)]), guard=10)
+    master = Instance.master_list(3, list("abcdef"), [list(t) for t in INTRO_MASTER])
+    with pytest.raises(TooLarge):
+        find_blocking(master, normalize_matching([(0, 1, 2), (3, 4, 5)]), guard=10)
 
 
 def test_instable_has_no_stable_matching():

@@ -4,12 +4,13 @@ preference oracle that compares tuple-sets without materializing lists."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
+    InsufficientAgents,
     ParseError,
     SelfInclusion,
     SizeMismatch,
@@ -216,10 +217,16 @@ class Instance:
             return a not in t
         return t in self.acceptability[a]
 
-    def acceptable_sets(self, a: int) -> frozenset:
-        if self.acceptability is None:
-            raise ValidationError("complete instance has no explicit X_a")
-        return self.acceptability[a]
+    def acceptable_sets(self, a: int) -> Iterable[TupleSet]:
+        """Agent a's candidate sets: X_a when preferences are incomplete,
+        else a's list for explicit lists and completions, else every
+        (d-1)-set without a."""
+        if self.acceptability is not None:
+            return self.acceptability[a]
+        lists = _agent_lists(self)
+        if lists is not None:
+            return lists[a]
+        return (t for t in combinations(range(self.n), self.d - 1) if a not in t)
 
     def lpo(self) -> LpoOrder:
         if not isinstance(self.source, MasterPoset):
@@ -265,7 +272,7 @@ class Instance:
         k, n = self.d - 1, self.n
         for t in entries:
             if len(t) != k:
-                raise ValidationError(f"entry {t} has size {len(t)}, want {k}")
+                raise SizeMismatch(f"entry {t} has size {len(t)}, want {k}")
             if not (0 <= t[0] and t[-1] < n and all(x < y for x, y in zip(t, t[1:]))):
                 raise ValidationError(f"entry {t} is not a set of distinct agents")
             if a in t:
@@ -344,25 +351,16 @@ class Instance:
         """True iff agent a strictly prefers t to tp."""
         if t == tp:
             raise ValidationError("prefers requires two different tuple-sets")
-        if len(t) != self.d - 1 or len(tp) != self.d - 1:
-            raise SizeMismatch(f"prefers compares sets of {self.d - 1} agents")
+        self._check_entries(a, (t, tp))
         for s in (t, tp):
-            if list(s) != sorted(set(s)) or s[0] < 0 or s[-1] >= self.n:
-                raise ValidationError(f"{s} is not a sorted set of agents")
-        if a in t or a in tp:
-            raise SelfInclusion(f"agent {self.names[a]} occurs in a compared set")
-        if self.acceptability is not None:
-            if t not in self.acceptability[a]:
-                raise UnacceptableSet(f"{t} unacceptable to {self.names[a]}")
-            if tp not in self.acceptability[a]:
-                raise UnacceptableSet(f"{tp} unacceptable to {self.names[a]}")
+            if not self.acceptable(a, s):
+                raise UnacceptableSet(f"{s} unacceptable to {self.names[a]}")
         return self.rank_key(a, t) < self.rank_key(a, tp)
 
     def first_choice(self, a: int, excluded: Iterable[int] = ()) -> TupleSet:
-        """The best tuple-set for a avoiding the excluded agents, computed
-        without enumerating lists for canonical poset sources."""
-        from .errors import InsufficientAgents
-
+        """The best tuple-set for a avoiding the excluded agents; complete
+        canonical posets take the first agents of the lpo order without
+        enumerating any list."""
         excluded = set(excluded)
         excluded.add(a)
         if self.is_canonical and self.is_complete:
@@ -373,28 +371,11 @@ class Instance:
                     f"only {len(best)} agents available for {self.names[a]}"
                 )
             return tupleset(best)
-        for t in self._iter_list(a):
-            if not excluded.intersection(t):
-                return t
-        raise InsufficientAgents(f"no admissible tuple-set for {self.names[a]}")
-
-    def _iter_list(self, a: int):
-        """Agent a's list in preference order (materializes for canonical
-        poset sources only when acceptability restricts it)."""
-        src = self.source
-        if isinstance(src, Explicit):
-            yield from src.lists[a]
-        elif isinstance(src, MasterListSets):
-            for t in src.order:
-                if a not in t:
-                    yield t
-        elif src.completion is not None:
-            yield from src.completion[a]
-        else:
-            sets = self.acceptability[a] if self.acceptability is not None else None
-            if sets is None:
-                raise ValidationError("canonical complete lists are not materialized")
-            yield from sorted(sets, key=lambda t: self.rank_key(a, t))
+        fits = (t for t in self.acceptable_sets(a) if excluded.isdisjoint(t))
+        best = min(fits, key=partial(self.rank_key, a), default=None)
+        if best is None:
+            raise InsufficientAgents(f"no admissible tuple-set for {self.names[a]}")
+        return best
 
 
 # -- derivation checks ----------------------------------------------------
@@ -526,20 +507,13 @@ def validate_matching(instance: Instance, m: Matching) -> bool:
 
 
 def materialize_explicit(instance: Instance, limit: int = 10**5) -> Instance:
-    """An equivalent instance with explicit per-agent lists."""
+    """An equivalent instance with explicit per-agent lists: each agent's
+    candidate sets in rank_key order."""
     n, d = instance.n, instance.d
     if comb(n - 1, d - 1) > limit:
         raise TooLarge("instance too large to materialize explicit lists")
-    lists = {}
-    for a in range(n):
-        if instance.acceptability is not None:
-            sets = list(instance.acceptability[a])
-        else:
-            sets = [
-                t
-                for t in combinations(range(n), d - 1)
-                if a not in t
-            ]
-        sets.sort(key=lambda t: instance.rank_key(a, t))
-        lists[instance.names[a]] = [instance.group_names(t) for t in sets]
-    return Instance.explicit(d, instance.names, lists)
+    lists = tuple(
+        tuple(sorted(instance.acceptable_sets(a), key=partial(instance.rank_key, a)))
+        for a in range(n)
+    )
+    return Instance(d, instance._index, Explicit(lists), instance.acceptability)

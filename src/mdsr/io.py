@@ -78,10 +78,10 @@ def parse_instance(text: str) -> Instance:
     names = doc["agents"]
     if not isinstance(d, int) or not isinstance(names, list):
         raise ParseError("field types: d must be int, agents a list")
-    try:
-        index = dict(zip(names, range(len(names))))
-    except TypeError:
-        raise ParseError("agent names must not be lists or objects") from None
+    # JSON object keys are strings, so only string names can be given lists.
+    if not all(isinstance(name, str) for name in names):
+        raise ParseError("agent names must be strings")
+    index = dict(zip(names, range(len(names))))
     if len(index) != len(names):
         raise ValidationError("agent names must be unique")
 

@@ -82,6 +82,8 @@ def find_blocking(
     guard.  Otherwise guard bounds C(n, d) on complete instances, before
     any key is computed; a master list is stable iff the pruned search
     finds no blocking group, and the index-order scan finds the least.
+    The report comes from the key test; is_blocking, which validates each
+    comparison through prefers, is its reference.
     """
     problems = matching_violations(instance, m)
     if problems:
@@ -99,7 +101,8 @@ def find_blocking(
             return None
     for group in _candidate_groups(instance):
         if all(key(a, group[:i] + group[i + 1 :]) < cur[a] for i, a in enumerate(group)):
-            return is_blocking(instance, m, group, partners)
+            rests = (group[:i] + group[i + 1 :] for i in range(len(group)))
+            return BlockingReport(group, tuple((a, partners.get(a), t) for a, t in zip(group, rests)))
     return None
 
 

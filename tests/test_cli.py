@@ -212,6 +212,11 @@ ORDER3 = {
         _doc(dict(RANKING, tiebreak="explicit", completion=EXPLICIT["lists"] | {"c": [["a"]]})),
         _doc({"type": "explicit", "lists": {}}, d=0),
         _doc({"type": "explicit", "lists": {}}, d=-1),
+        _doc(PAIRS, agents=("a", "b", None)),
+        _doc(PAIRS, agents=("a", "b", True)),
+        _doc(PAIRS, agents=("a", "b", 1.5)),
+        _doc(PAIRS, agents=("a", "b", 3)),
+        _doc(dict(PAIRS, pairs=[[1, 2]]), agents=(1, 2, 3)),
     ],
     ids=[
         "missing-lists",
@@ -236,12 +241,37 @@ ORDER3 = {
         "completion-list-incomplete",
         "d-zero",
         "d-negative",
+        "null-name",
+        "true-name",
+        "float-name",
+        "mixed-integer-names",
+        "integer-names",
     ],
 )
 def test_malformed_document_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, text = invoke(["stats", "--instance", str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--input", "instance.json"],
+        ["check", "--instance", "instance.json", "--matching", "m.json"],
+    ],
+    ids=["solve", "check"],
+)
+def test_non_string_agent_name_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # Names of mixed types cannot be sorted for the output.
+    monkeypatch.chdir(tmp_path)
+    names = ["a", "b", "c", "d", "e", None]
+    doc = _doc({"type": "master_poset", "ranking": names, "tiebreak": "canonical"}, names, d=3)
+    (tmp_path / "instance.json").write_text(json.dumps(doc))
+    (tmp_path / "m.json").write_text(json.dumps({"version": "1", "groups": [names[:3], names[3:]]}))
+    code, text = invoke(["--json", *argv])
     assert (code, text) == (2, "")
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -453,6 +483,22 @@ def test_blocked_greedy_matching_is_refused(tmp_path, monkeypatch, capsys):
     code, out = invoke(["--json", "solve", "--input", path, "--algo", "greedy"])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.startswith("error: greedy matching is blocked")
+
+
+def test_solve_greedy_on_completion(tmp_path):
+    # kappa = 1 (a0 and a1 incomparable above a chain) and n = d = 64, so
+    # greedy applies and each list holds the one set of all other agents.
+    names = [f"a{i}" for i in range(64)]
+    pairs = [["a0", "a2"], ["a1", "a2"]] + [[u, v] for u, v in zip(names[2:], names[3:])]
+    completion = {a: [[b for b in names if b != a]] for a in names}
+    source = {"type": "master_poset", "pairs": pairs, "tiebreak": "explicit", "completion": completion}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_doc(source, names, d=64)))
+    code, text = invoke(["--json", "solve", "--input", str(path)])
+    assert code == 0
+    payload = json.loads(text)
+    assert (payload["algo"], payload["verdict"], payload["validated"]) == ("greedy", "STABLE", True)
+    assert payload["groups"] == [sorted(names)]
 
 
 def test_solve_large_shuffled_ranking(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from mdsr import (
     validate_matching,
 )
 from mdsr.errors import (
+    InsufficientAgents,
     SelfInclusion,
     SizeMismatch,
     UnacceptableSet,
@@ -193,6 +195,41 @@ def test_first_choice_fast_path_matches_list_scan():
             assert inst.first_choice(a, excluded) == explicit.first_choice(
                 a, excluded
             )
+
+
+def test_first_choice_is_least_rank_key_on_every_source():
+    rng = random.Random(5)
+    n, d = 6, 3
+    names = [f"a{i}" for i in range(n)]
+    instances = [
+        random_complete_instance(rng, kind, n, d)
+        for kind in ("explicit", "master_list", "pairs", "completion")
+    ]
+    accepted = {}
+    for a in names:
+        accepted[a] = [list(t) for t in combinations(names, d - 1) if a not in t and rng.random() < 0.5]
+        rng.shuffle(accepted[a])
+    instances.append(Instance.explicit(d, names, accepted))
+    ranking = Poset.from_ranking(rng.sample(range(n), n))
+    instances.append(Instance.master_poset(d, names, ranking, acceptability=accepted))
+    assert [inst.is_complete for inst in instances] == [True] * 4 + [False] * 2
+    for inst in instances:
+        for _ in range(10):
+            excluded = set(rng.sample(range(n), rng.randint(0, 4)))
+            for a in range(n):
+                fits = [
+                    t
+                    for t in combinations(range(n), d - 1)
+                    if a not in t and excluded.isdisjoint(t) and inst.acceptable(a, t)
+                ]
+                if fits:
+                    best = min(fits, key=lambda t: inst.rank_key(a, t))
+                    assert inst.first_choice(a, excluded) == best
+                else:
+                    with pytest.raises(InsufficientAgents):
+                        inst.first_choice(a, excluded)
+        with pytest.raises(InsufficientAgents):
+            inst.first_choice(0, range(1, n - 1))
 
 
 def test_materialize_explicit_preserves_preferences():

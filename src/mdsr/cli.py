@@ -16,9 +16,12 @@ from .errors import MdsrError, ParseError, TooLarge, ValidationError
 from .io import (
     named_groups,
     parse_instance,
+    parse_marriage,
     parse_matching,
+    parse_smti_document,
     serialize_groups,
     serialize_instance,
+    serialize_marriage,
     serialize_matching,
 )
 from .poset import verify_lpo
@@ -30,7 +33,6 @@ from .reductions import (
     sat_reduce,
 )
 from .smti import (
-    SmtiInstance,
     cutoff_gadget_instance,
     smti_backward,
     smti_forward,
@@ -78,19 +80,18 @@ def _emit(args, out, human: str, payload: dict) -> None:
 def _cmd_solve(args, out) -> int:
     instance = parse_instance(_read(args.input))
     algo = plan(instance) if args.algo == "auto" else args.algo
+    # The exact searches keep their own default caps unless --max-n is given.
+    cap = {} if args.max_n is None else {"max_n": args.max_n}
     if algo == "strict":
         matching = strict_order_solve(instance)
     elif algo == "greedy":
         matching = greedy_big_d_solve(instance).matching
     elif algo == "dp":
         matching = fpt_dp_solve(
-            instance,
-            window_size=args.window_size,
-            span=args.span,
-            window_cap=args.window_cap,
+            instance, window_size=args.window_size, span=args.span, **cap
         )
     else:
-        matching = brute_force_solve(instance, max_n=args.max_n)
+        matching = brute_force_solve(instance, **cap)
     # Every solver returns only stable matchings: strict blocks are stable
     # by construction, and greedy, dp and brute check what they return.
     validated = matching is not None
@@ -144,11 +145,7 @@ def _cmd_stats(args, out) -> int:
         dist, deleted, _ = deletion_distance(instance, args.lambda_budget)
         info["lambda"] = dist
         info["deleted"] = [instance.names[a] for a in deleted]
-    if args.json:
-        out.write(json.dumps(info, sort_keys=True) + "\n")
-    else:
-        for key in sorted(info):
-            out.write(f"{key}={info[key]}\n")
+    _emit(args, out, "\n".join(f"{key}={info[key]}" for key in sorted(info)), info)
     return EXIT_OK
 
 
@@ -192,49 +189,11 @@ def _cmd_reduce_sat(args, out) -> int:
     return EXIT_OK
 
 
-def parse_smti_document(text: str) -> SmtiInstance:
-    """JSON schema: {"version":"1","n":int,"tie_starts":[1-based j where
-    w_j is tied with w_{j+1}],"acceptable":[[man,woman] 1-based]}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("version") != "1":
-        raise ParseError("marriage document must be an object with version '1'")
-    try:
-        n, acceptable = doc["n"], doc["acceptable"]
-        tie_starts = doc.get("tie_starts", [])
-        numbers = [n, *tie_starts, *(x for p in acceptable for x in p)]
-        if not all(type(x) is int for x in numbers):
-            raise TypeError("n, tie starts and pairs must be integers")
-        return SmtiInstance(
-            n,
-            frozenset(j - 1 for j in tie_starts),
-            frozenset((i - 1, j - 1) for i, j in acceptable),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed marriage document: {exc}") from None
-
-
-def _parse_marriage(text: str) -> dict:
-    """A JSON list of 1-based [man, woman] pairs, as a 0-based dict."""
-    try:
-        pairs = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
-        for p in pairs
-    ):
-        raise ParseError("a marriage matching is a list of [man, woman] integer pairs")
-    return {i - 1: j - 1 for i, j in pairs}
-
-
 def _cmd_reduce_smti(args, out) -> int:
     smti = parse_smti_document(_read(args.input))
     reduction = smti_reduce(smti)
     if args.matching is not None:
-        marriage = _parse_marriage(_read(args.matching))
+        marriage = parse_marriage(_read(args.matching))
         matching = smti_forward(reduction, marriage)
         if args.emit_matching:
             _write(args.output, serialize_matching(reduction.instance, matching), out)
@@ -242,9 +201,7 @@ def _cmd_reduce_smti(args, out) -> int:
     if args.extract is not None:
         matching = parse_matching(_read(args.extract), reduction.instance)
         marriage = smti_backward(reduction, matching)
-        out.write(
-            json.dumps([[i + 1, j + 1] for i, j in sorted(marriage.items())]) + "\n"
-        )
+        out.write(serialize_marriage(marriage))
         return EXIT_OK
     _write(args.output, serialize_instance(reduction.instance), out)
     return EXIT_OK
@@ -266,10 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p.add_argument("--witness", help="write the matching document here")
-    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--max-n", type=int, help="most agents an exact search takes")
     p.add_argument("--window-size", type=int)
     p.add_argument("--span", type=int)
-    p.add_argument("--window-cap", type=int, default=18)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check", help="check a matching for stability")

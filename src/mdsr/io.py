@@ -1,4 +1,5 @@
-"""JSON documents for instances and matchings.
+"""JSON documents for instances and matchings, and the marriage instance
+and marriage matching documents of the marriage-with-ties reduction.
 
 Canonical serialization is deterministic (sorted keys, fixed separators)
 so parse -> serialize round-trips byte-identically.
@@ -11,8 +12,21 @@ import json
 from .core import Explicit, Instance, MasterListSets, MasterPoset, Matching, to_indices
 from .errors import ParseError, ValidationError
 from .poset import Poset
+from .smti import SmtiInstance
 
 VERSION = "1"
+
+
+def _load(text: str, what: str = ""):
+    """The decoded JSON document; when `what` names a versioned format,
+    it must be an object with version "1"."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if what and (not isinstance(doc, dict) or doc.get("version") != VERSION):
+        raise ParseError(f"{what} must be an object with version '1'")
+    return doc
 
 
 def _names_of(instance: Instance, t) -> list:
@@ -63,14 +77,7 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def parse_instance(text: str) -> Instance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("top-level document must be an object")
-    if doc.get("version") != VERSION:
-        raise ParseError(f"unsupported document version {doc.get('version')!r}")
+    doc = _load(text, "instance document")
     for field in ("d", "agents", "source"):
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
@@ -153,13 +160,47 @@ def serialize_matching(instance: Instance, m: Matching) -> str:
 
 
 def parse_matching(text: str, instance: Instance) -> Matching:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("version") != VERSION:
-        raise ParseError("matching document must be an object with version '1'")
+    doc = _load(text, "matching document")
     groups = doc.get("groups")
     if not isinstance(groups, list):
         raise ParseError("missing 'groups' list")
     return tuple(sorted(instance.index_sets(groups)))
+
+
+# Marriage documents number men and women from 1; SmtiInstance and the
+# marriage dicts of the reduction number them from 0.
+
+
+def parse_smti_document(text: str) -> SmtiInstance:
+    """JSON schema: {"version":"1","n":int,"tie_starts":[1-based j where
+    w_j is tied with w_{j+1}],"acceptable":[[man,woman] 1-based]}."""
+    doc = _load(text, "marriage document")
+    try:
+        n, acceptable = doc["n"], doc["acceptable"]
+        tie_starts = doc.get("tie_starts", [])
+        numbers = [n, *tie_starts, *(x for p in acceptable for x in p)]
+        if not all(type(x) is int for x in numbers):
+            raise TypeError("n, tie starts and pairs must be integers")
+        return SmtiInstance(
+            n,
+            frozenset(j - 1 for j in tie_starts),
+            frozenset((i - 1, j - 1) for i, j in acceptable),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed marriage document: {exc}") from None
+
+
+def parse_marriage(text: str) -> dict:
+    """A JSON list of [man, woman] pairs, as a man -> woman dict."""
+    pairs = _load(text)
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
+        for p in pairs
+    ):
+        raise ParseError("a marriage matching is a list of [man, woman] integer pairs")
+    return {i - 1: j - 1 for i, j in pairs}
+
+
+def serialize_marriage(marriage: dict) -> str:
+    """The marriage matching document of a man -> woman dict."""
+    return json.dumps([[i + 1, j + 1] for i, j in sorted(marriage.items())]) + "\n"

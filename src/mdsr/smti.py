@@ -191,12 +191,8 @@ class SmtiInstance:
 
     def perfect_stable_matchings(self) -> Iterator[dict]:
         """Brute force over all perfect matchings; exponential."""
-        for perm in permutations(range(self.n)):
-            matching = dict(enumerate(perm))
-            if all(
-                (i, j) in self.acceptable for i, j in matching.items()
-            ) and not self.blocking_pairs(matching):
-                yield matching
+        matchings = (dict(enumerate(perm)) for perm in permutations(range(self.n)))
+        return filter(self.is_perfect_stable, matchings)
 
 
 # ---------------------------------------------------------------------------

@@ -141,13 +141,13 @@ def fpt_dp_solve(
     instance: Instance,
     window_size: Optional[int] = None,
     span: Optional[int] = None,
-    window_cap: int = 18,
+    max_n: int = 18,
 ) -> Optional[Matching]:
     """Find a stable matching, or None, by a sliding-window dynamic
     program over the agent order.
 
     The theoretical window grows like kappa*d^4, too wide to slide, so the
-    default window_size searches exactly: brute force up to window_cap
+    default window_size searches exactly: brute force up to max_n
     agents, TooLarge above it.  A given window_size below n - 1 runs
     the sliding program; it is exact whenever the window is at least the
     theoretical bound, and any matching it returns is re-validated.  A
@@ -178,7 +178,7 @@ def fpt_dp_solve(
     if window_size is None or k >= n - 1:
         from .stability import brute_force_solve
 
-        return brute_force_solve(instance, max_n=window_cap)
+        return brute_force_solve(instance, max_n=max_n)
 
     result = _sliding_dp(instance, k, s)
     if result is not None:

@@ -24,6 +24,8 @@ from util import (
     intro_instance,
     nostable_poset_instance,
     random_complete_instance,
+    random_completion_instance,
+    random_poset,
     two_level_instance,
 )
 
@@ -108,6 +110,16 @@ def test_stats(tmp_path):
     assert info["locality_bound"] == 10
 
 
+def test_stats_plain_lines(tmp_path):
+    path = write_instance(tmp_path, chain_instance(6, 3))
+    code, text = invoke(["stats", "--instance", path, "--lambda-budget", "2"])
+    assert code == 0
+    assert text == (
+        "algo=strict\nd=3\ndeleted=[]\nkappa=0\nlambda=0\nlocality_bound=10\n"
+        "lpo_verified=True\nn=6\nwidth=1\nwindow=360\n"
+    )
+
+
 def test_stats_long_chain_from_pairs(tmp_path):
     # a0 > a1 > ... with the agents listed in shuffled order, so agent
     # indices run against the chain
@@ -161,6 +173,30 @@ def test_exit_codes(tmp_path):
     big = write_instance(tmp_path, chain_instance(14, 2), "big.json")
     code, _ = invoke(["solve", "--input", big, "--algo", "brute", "--max-n", "4"])
     assert code == 3
+
+
+@pytest.mark.parametrize("algo", [[], ["--algo", "dp"]], ids=["auto", "dp"])
+def test_max_n_bounds_the_dp_exact_search(tmp_path, capsys, algo):
+    """--max-n caps the exact search whichever solver runs it: plan sends
+    this six-agent poset to dp, whose default window searches exactly."""
+    path = write_instance(tmp_path, nostable_poset_instance())
+    code, out = invoke(["--json", "solve", "--input", path, "--max-n", "4"] + algo)
+    assert (code, out) == (3, "")
+    assert "exceeds the enumeration guard 4" in capsys.readouterr().err
+    code, out = invoke(["--json", "solve", "--input", path] + algo)
+    assert code == 0 and json.loads(out)["algo"] == "dp"
+
+
+def test_forced_window_blocked_matching_exits_2(tmp_path, capsys):
+    """A forced window too small for the instance gives a blocked
+    matching, which the DP refuses with the text the benchmark excuses."""
+    rng = random.Random(1)
+    poset = random_poset(rng, 9, 0.5)
+    path = write_instance(tmp_path, random_completion_instance(rng, 9, 3, poset))
+    argv = ["solve", "--input", path, "--algo", "dp", "--window-size", "6", "--span", "6"]
+    code, out = invoke(argv)
+    assert (code, out) == (2, "")
+    assert "too small: returned matching is blocked" in capsys.readouterr().err
 
 
 def _doc(source, agents=("a", "b", "c"), **extra):

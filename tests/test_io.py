@@ -15,6 +15,7 @@ from mdsr import (
 )
 from mdsr.core import MasterPoset
 from mdsr.errors import ParseError, ValidationError
+from mdsr.io import parse_marriage, parse_smti_document, serialize_marriage
 
 from util import (
     chain_instance,
@@ -84,6 +85,42 @@ def test_round_trip_random_instances():
         poset = random_poset(rng, n, 0.6)
         inst = random_completion_instance(rng, n, 3, poset)
         assert_same_preferences(inst, round_trip(inst))
+
+
+def test_marriage_documents_number_from_one():
+    smti = parse_smti_document(
+        '{"version":"1","n":2,"tie_starts":[1],"acceptable":[[1,2],[2,1]]}'
+    )
+    assert (smti.n, smti.tie_starts, smti.acceptable) == (
+        2, frozenset({0}), frozenset({(0, 1), (1, 0)})
+    )
+    assert parse_marriage("[[1, 2], [2, 1]]") == {0: 1, 1: 0}
+    assert serialize_marriage({1: 0, 0: 1}) == "[[1, 2], [2, 1]]\n"
+
+
+def _parse_chain_matching(text: str):
+    return parse_matching(text, chain_instance(3, 3))
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [parse_instance, _parse_chain_matching, parse_smti_document, parse_marriage],
+    ids=["instance", "matching", "marriage-instance", "marriage-matching"],
+)
+def test_every_reader_reports_invalid_json(parse):
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        parse("[[1, 1]")
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [parse_instance, _parse_chain_matching, parse_smti_document],
+    ids=["instance", "matching", "marriage-instance"],
+)
+@pytest.mark.parametrize("text", ["[]", '{"version": "2"}', '{"n": 1}'])
+def test_versioned_readers_want_an_object_with_version_1(parse, text):
+    with pytest.raises(ParseError, match="must be an object with version '1'"):
+        parse(text)
 
 
 def test_parse_instance_errors():

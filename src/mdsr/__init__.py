@@ -13,7 +13,6 @@ from .core import (
     matching_violations,
     normalize_matching,
     tupleset,
-    validate_matching,
 )
 from .distance import deletion_distance, recover_strict_order
 from .errors import (

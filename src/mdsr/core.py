@@ -4,7 +4,7 @@ preference oracle that compares tuple-sets without materializing lists."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, islice
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
@@ -39,20 +39,17 @@ def tupleset(agents: Iterable[int]) -> TupleSet:
 def to_indices(index: Mapping, entries, ordered: bool = False) -> list:
     """Each entry, a list or tuple of names, as a tuple of indices with one
     dict lookup per member, sorted into a tuple-set unless ordered.  Any
-    other entry, an undeclared name or an unhashable member raises
-    ParseError; Instance._validate checks the entries themselves."""
-    get = index.__getitem__
-    out = []
+    other entry, an undeclared name or an unhashable member raises a
+    ParseError naming it; Instance._validate checks the entries themselves."""
+    get, seq = index.__getitem__, (list, tuple)
     entry = entries
     try:
-        for entry in entries:
-            if not isinstance(entry, (list, tuple)):
-                raise TypeError
-            members = map(get, entry)
-            out.append(tuple(members) if ordered else tuple(sorted(members)))
+        # entry tracks the entry being read; map(get, None) raises TypeError.
+        if ordered:
+            return [tuple(map(get, e if isinstance(entry := e, seq) else None)) for e in entries]
+        return [tuple(sorted(map(get, e if isinstance(entry := e, seq) else None))) for e in entries]
     except (KeyError, TypeError):
         raise ParseError(f"{entry!r} is not a list of declared agents") from None
-    return out
 
 
 def normalize_matching(groups: Iterable[Iterable[int]]) -> Matching:
@@ -71,6 +68,11 @@ class MasterListSets:
     """One global strict ranking of every (d-1)-subset of the agents."""
 
     order: tuple[TupleSet, ...]
+
+    @cached_property
+    def rank(self) -> dict:
+        """Each set's position in order, for validation and the rank oracle."""
+        return dict(zip(self.order, range(len(self.order))))
 
 
 @dataclass(frozen=True)
@@ -298,18 +300,14 @@ class Instance:
                 )
 
     def _validate_master_list(self, src: MasterListSets) -> None:
-        """The order must rank every (d-1)-set once: removing each from the
-        set of entries, when the counts agree, covers entry size, range,
-        repeated members and duplicates."""
+        """The order must rank every (d-1)-set once: C(n, k) entries, as many
+        distinct ones, and every k-set of agents among them cover entry size,
+        range, repeated members and duplicates."""
         n, k = self.n, self.d - 1
-        ranked = set(src.order)
-        if len(src.order) == len(ranked) == comb(n, k):
-            ranked.difference_update(combinations(range(n), k))
-            if not ranked:
-                return
-        raise ValidationError(
-            f"master list must rank each of the {comb(n, k)} sets of {k} agents once"
-        )
+        rank, full, sets = src.rank, comb(n, k), combinations(range(n), k)
+        if len(src.order) == len(rank) == full and all(map(rank.__contains__, sets)):
+            return
+        raise ValidationError(f"master list must rank each of the {full} sets of {k} agents once")
 
     def _validate_master_poset(self, src: MasterPoset) -> None:
         if src.poset.n != self.n:
@@ -331,7 +329,7 @@ class Instance:
         """The integer key function for this source, dispatched once."""
         src = self.source
         if isinstance(src, MasterListSets):
-            master = {t: i for i, t in enumerate(src.order)}
+            master = src.rank
             return lambda a, t: master[t]
         if self.is_canonical:
             pos, n = self.lpo().position, self.n
@@ -500,10 +498,6 @@ def matching_violations(instance: Instance, m: Matching) -> list[str]:
                         f"group {g} unacceptable to {instance.names[a]}"
                     )
     return problems
-
-
-def validate_matching(instance: Instance, m: Matching) -> bool:
-    return not matching_violations(instance, m)
 
 
 def materialize_explicit(instance: Instance, limit: int = 10**5) -> Instance:

@@ -48,6 +48,10 @@ def _require_poset(instance: Instance) -> None:
         raise NotStrictOrder("a master-poset source is required")
 
 
+def _blocked_by(instance: Instance, group) -> str:  # by agent names, as mdsr check
+    return "blocked by {%s}" % ",".join(sorted(instance.group_names(group)))
+
+
 def strict_order_solve(instance: Instance) -> Matching:
     """The unique stable matching, the lpo blocks, of a complete canonical
     master poset (any kappa) or a completion of a strict order; raises
@@ -132,7 +136,7 @@ def greedy_big_d_solve(instance: Instance) -> GreedyResult:
     report = find_blocking(instance, matching)
     if report is not None:
         raise CertificateFailure(
-            f"greedy matching is blocked by {report.group} despite its certificates"
+            f"greedy matching is {_blocked_by(instance, report.group)} despite its certificates"
         )
     return GreedyResult(matching, tuple(steps))
 
@@ -185,8 +189,8 @@ def fpt_dp_solve(
         report = find_blocking(instance, result)
         if report is not None:
             raise CertificateFailure(
-                f"window {k} too small: returned matching is blocked by "
-                f"{report.group}"
+                f"window {k} too small: returned matching is "
+                f"{_blocked_by(instance, report.group)}"
             )
     return result
 

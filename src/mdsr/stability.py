@@ -9,8 +9,9 @@ allows: a complete canonical poset has one stable matching, its lpo
 blocks, so m is stable iff it equals them, decided before any guard; a
 master list, which can lack any stable matching, is decided by a pruned
 search that walks the master order and anchors each group at its member
-with the best current partners.  Only if some group blocks, or at once for
-other sources, a scan of the candidates in index order finds the least.
+with the best current partners, and stops at the worst current rank.
+Only if some group blocks, or at once for other sources, a scan of the
+candidates in index order finds the least.
 The guard bounds C(n, d) for the search and the scan on every complete
 source.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, inf
 from typing import Iterable, Iterator, Optional
 
@@ -110,11 +111,13 @@ def _master_list_blocked(key, order, cur) -> bool:
     """True iff some group blocks, every agent ranking t at its master rank
     r.  Anchor each group at a member m with the least cur: m gains iff r <
     cur[m], so the anchors for t, r < cur[m] <= min(cur[y] for y in t), are
-    a bisect range of the agents sorted by cur."""
+    a bisect range of the agents sorted by cur.  None exists once r reaches
+    max(cur), so checking a stable matching costs O(max cur + anchors), not
+    O(C(n, d - 1)); an unmatched agent (cur = inf) keeps the whole walk."""
     agents = sorted(range(len(cur)), key=cur.__getitem__)
     ranked = [cur[a] for a in agents]
-    for r, t in enumerate(order):
-        lo, hi = bisect_right(ranked, r), bisect_right(ranked, min(cur[y] for y in t))
+    for r, t in enumerate(islice(order, ranked[-1] if ranked[-1] < inf else None)):
+        lo, hi = bisect_right(ranked, r), bisect_right(ranked, min(map(cur.__getitem__, t)))
         for m in agents[lo:hi]:
             if m not in t and all(
                 key(y, tupleset(x if x != y else m for x in t)) < cur[y] for y in t

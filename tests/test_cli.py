@@ -196,7 +196,10 @@ def test_forced_window_blocked_matching_exits_2(tmp_path, capsys):
     argv = ["solve", "--input", path, "--algo", "dp", "--window-size", "6", "--span", "6"]
     code, out = invoke(argv)
     assert (code, out) == (2, "")
-    assert "too small: returned matching is blocked" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "too small: returned matching is blocked" in err
+    # the blocking group is named by agents, as mdsr check prints it
+    assert "blocked by {a5,a6,a7}" in err
 
 
 def _doc(source, agents=("a", "b", "c"), **extra):

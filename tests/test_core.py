@@ -12,9 +12,9 @@ from mdsr import (
     is_derived_from_master_list,
     is_derived_from_poset,
     materialize_explicit,
+    matching_violations,
     normalize_matching,
     tupleset,
-    validate_matching,
 )
 from mdsr.errors import (
     InsufficientAgents,
@@ -242,12 +242,12 @@ def test_materialize_explicit_preserves_preferences():
             assert inst.prefers(a, lists[a][i], lists[a][i + 1])
 
 
-def test_validate_matching():
+def test_matching_violations():
     inst = intro_instance()
     m2 = normalize_matching([inst.agents("a", "b", "d"), inst.agents("c", "e", "f")])
-    assert validate_matching(inst, m2)
-    assert not validate_matching(inst, ((0, 1), (2, 3, 4)))
-    assert not validate_matching(inst, ((0, 1, 2), (2, 3, 4)))
+    assert not matching_violations(inst, m2)
+    assert matching_violations(inst, ((0, 1), (2, 3, 4)))
+    assert matching_violations(inst, ((0, 1, 2), (2, 3, 4)))
 
 
 def test_completion_must_respect_poset():

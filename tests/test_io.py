@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,7 @@ from mdsr import (
     serialize_instance,
     serialize_matching,
 )
-from mdsr.core import MasterPoset
+from mdsr.core import MasterPoset, to_indices
 from mdsr.errors import ParseError, ValidationError
 from mdsr.io import parse_marriage, parse_smti_document, serialize_marriage
 
@@ -215,3 +216,19 @@ def test_matching_round_trip():
         parse_matching("[]", inst)
     with pytest.raises(ParseError):
         parse_matching('{"version":"1","groups":[["zz"]]}', inst)
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_to_indices_names_the_first_bad_entry(ordered):
+    index = {"a": 0, "b": 1, "c": 2}
+    assert to_indices(index, [["b", "a"], ("c",)], ordered) == (
+        [(1, 0), (2,)] if ordered else [(0, 1), (2,)]
+    )
+    for entries, bad in (
+        ([["a", "b"], "ab", ["zz"]], "'ab'"),  # a string is no list of names
+        ([["a"], ["a", "zz"], 5], "['a', 'zz']"),  # undeclared name
+        ([["a"], [["b"]], "c"], "[['b']]"),  # unhashable member
+        (5, "5"),  # not a list of entries at all
+    ):
+        with pytest.raises(ParseError, match=f"^{re.escape(bad)} is not a list of declared agents"):
+            to_indices(index, entries, ordered)

@@ -244,6 +244,24 @@ def test_find_blocking_matches_plain_scan():
             assert all(find_blocking(inst, m) is None for m in stable)
 
 
+def test_find_blocking_matches_plain_scan_on_master_lists():
+    """More master lists than the test above draws, for the master-order
+    walk: d = 2, 3 and 4 in turn, maximal matchings (some agent unmatched,
+    cur = inf, when d does not divide n; else the walk stops at the worst
+    current rank), random partial matchings, and every stable matching."""
+    rng = random.Random(23)
+    for i in range(90):
+        d = (2, 3, 4)[i % 3]
+        n = rng.randint(d, 9)
+        inst = random_complete_instance(rng, "master_list", n, d)
+        every = reference_maximal_matchings(n, d)
+        cases = rng.sample(every, min(len(every), 40))
+        cases += [random_matching(rng, n, d) for _ in range(10)]
+        cases += enumerate_stable(inst)
+        for m in cases:
+            assert find_blocking(inst, m) == plain_find_blocking(inst, m), (n, d, m)
+
+
 def test_find_blocking_long_chain_is_fast():
     inst = chain_instance(600, 3)
     m = strict_order_solve(inst)
@@ -261,6 +279,29 @@ def test_find_blocking_sat_master_list_is_fast():
     start = time.perf_counter()
     assert find_blocking(reduction.instance, m) is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_master_list_walk_stops_at_worst_current_rank():
+    """On the SAT forward matching every agent is matched, so the walk of
+    the master order reads at most max(cur) sets, not all of them."""
+    formula = OneInThreeFormula(
+        6, ((1, 3, 4), (1, 5, 6), (1, 3, 5), (2, 4, 6), (2, 3, 6), (2, 4, 5))
+    )
+    reduction = sat_reduce(formula)
+    inst, m = reduction.instance, sat_forward_matching(reduction, [1, 2])
+    order = inst.source.order
+    partners = stability._partner_map(inst, m)
+    cur = [inst.rank_key(a, partners[a]) for a in range(inst.n)]
+    read = 0
+
+    def counted():
+        nonlocal read
+        for t in order:
+            read += 1
+            yield t
+
+    assert not stability._master_list_blocked(inst.rank_key, counted(), cur)
+    assert read <= max(cur) < len(order) // 10
 
 
 def test_find_blocking_guard_trips_before_partner_map(monkeypatch):

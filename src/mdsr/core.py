@@ -3,10 +3,12 @@ preference oracle that compares tuple-sets without materializing lists."""
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from itertools import combinations, islice
+from itertools import accumulate, chain, combinations, islice, repeat
 from math import comb
+from operator import lt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -37,19 +39,33 @@ def tupleset(agents: Iterable[int]) -> TupleSet:
 
 
 def to_indices(index: Mapping, entries, ordered: bool = False) -> list:
-    """Each entry, a list or tuple of names, as a tuple of indices with one
-    dict lookup per member, sorted into a tuple-set unless ordered.  Any
-    other entry, an undeclared name or an unhashable member raises a
-    ParseError naming it; Instance._validate checks the entries themselves."""
+    """Each entry, a list or tuple of names, as a tuple of indices, sorted
+    into a tuple-set unless ordered: one lookup pass over all members,
+    regrouped by zip when all entries have one size k >= 1, else by slicing,
+    and no sort when every entry already increases (mdsr writes them so).
+    Any other entry, an undeclared name or an unhashable member raises a
+    ParseError naming the first; Instance._validate checks the entries."""
     get, seq = index.__getitem__, (list, tuple)
-    entry = entries
     try:
-        # entry tracks the entry being read; map(get, None) raises TypeError.
-        if ordered:
-            return [tuple(map(get, e if isinstance(entry := e, seq) else None)) for e in entries]
-        return [tuple(sorted(map(get, e if isinstance(entry := e, seq) else None))) for e in entries]
+        entries = entries if isinstance(entries, list) else list(entries)
+        if not all(map(isinstance, entries, repeat(seq))):
+            raise TypeError
+        sizes = list(map(len, entries))
+        flat = list(map(get, entries[0] if len(entries) == 1 else chain.from_iterable(entries)))
     except (KeyError, TypeError):
+        entry = entries  # rescan in order for the first bad entry
+        with suppress(KeyError, TypeError):
+            for entry in entries:
+                list(map(get, entry if isinstance(entry, seq) else None))
         raise ParseError(f"{entry!r} is not a list of declared agents") from None
+    if len(sizes) > 1 and (k := sizes[0]) and sizes.count(k) == len(sizes):
+        groups = zip(*[iter(flat)] * k)
+        # every entry already increases when each column lies below the next
+        ordered = ordered or all(all(map(lt, flat[j::k], flat[j + 1 :: k])) for j in range(k - 1))
+    else:
+        slices = map(slice, accumulate(sizes, initial=0), accumulate(sizes))
+        groups = map(tuple, [flat] if len(sizes) == 1 else map(flat.__getitem__, slices))
+    return list(groups) if ordered else list(map(tuple, map(sorted, groups)))
 
 
 def normalize_matching(groups: Iterable[Iterable[int]]) -> Matching:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, combinations
 from operator import or_
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (
     Group,
@@ -154,9 +154,10 @@ def fpt_dp_solve(
     default window_size searches exactly: brute force up to max_n
     agents, TooLarge above it.  A given window_size below n - 1 runs
     the sliding program; it is exact whenever the window is at least the
-    theoretical bound, and any matching it returns is re-validated.  A
-    window or span below d - 1 leaves no room for a group and raises
-    PreconditionViolated.
+    theoretical bound.  It returns the first accepting matching that
+    find_blocking clears; when every one is blocked, CertificateFailure
+    names the first one's blocking group.  A window or span below d - 1
+    leaves no room for a group and raises PreconditionViolated.
 
     The program reveals one order position r per step, r = 0..n-1, and
     may close a group ending at r whose members lie within span positions
@@ -184,19 +185,22 @@ def fpt_dp_solve(
 
         return brute_force_solve(instance, max_n=max_n)
 
-    result = _sliding_dp(instance, k, s)
-    if result is not None:
-        report = find_blocking(instance, result)
-        if report is not None:
-            raise CertificateFailure(
-                f"window {k} too small: returned matching is "
-                f"{_blocked_by(instance, report.group)}"
-            )
-    return result
+    first = None  # the first accepting matching's blocking report
+    for matching in _sliding_dp(instance, k, s):
+        report = find_blocking(instance, matching)
+        if report is None:
+            return matching
+        first = first or report
+    if first is not None:
+        raise CertificateFailure(
+            f"window {k} too small: returned matching is {_blocked_by(instance, first.group)}"
+        )
+    return None
 
 
-def _sliding_dp(instance: Instance, k: int, s: int) -> Optional[Matching]:
-    """One forward pass over lpo positions: step r = 0..n-1 reveals r, and
+def _sliding_dp(instance: Instance, k: int, s: int) -> Iterator[Matching]:
+    """The matchings of the accepting final states, in state order, from
+    one forward pass over lpo positions: step r = 0..n-1 reveals r, and
     position r-k-1 leaves the window [r-k, r].  A state is the set of
     groups (in positions) touching the window and the count of positions
     that left it unmatched; its value is the chain (group, previous) of
@@ -279,7 +283,7 @@ def _sliding_dp(instance: Instance, k: int, s: int) -> Optional[Matching]:
             layer = dict(sorted(layer.items(), key=lambda kv: _head_first(kv[0][0])))
         states = layer
         if not states:
-            return None
+            return
 
     for (groups, unmatched), chain in states.items():
         covered = {p for g in groups for p in g}
@@ -288,8 +292,7 @@ def _sliding_dp(instance: Instance, k: int, s: int) -> Optional[Matching]:
             while chain is not None:
                 group, chain = chain
                 matching.append(tupleset(order[p] for p in group))
-            return normalize_matching(matching)
-    return None
+            yield normalize_matching(matching)
 
 
 def _head_first(groups) -> tuple:

@@ -188,12 +188,14 @@ def test_max_n_bounds_the_dp_exact_search(tmp_path, capsys, algo):
 
 
 def test_forced_window_blocked_matching_exits_2(tmp_path, capsys):
-    """A forced window too small for the instance gives a blocked
-    matching, which the DP refuses with the text the benchmark excuses."""
+    """A forced window too small for the instance gives only blocked
+    matchings, which the DP refuses with the text the benchmark excuses.
+    (At window 6 and span 6 two of its three accepting matchings are
+    stable, and the DP returns one.)"""
     rng = random.Random(1)
     poset = random_poset(rng, 9, 0.5)
     path = write_instance(tmp_path, random_completion_instance(rng, 9, 3, poset))
-    argv = ["solve", "--input", path, "--algo", "dp", "--window-size", "6", "--span", "6"]
+    argv = ["solve", "--input", path, "--algo", "dp", "--window-size", "3", "--span", "2"]
     code, out = invoke(argv)
     assert (code, out) == (2, "")
     err = capsys.readouterr().err

@@ -26,6 +26,7 @@ from util import (
     random_completion_instance,
     random_poset,
     reference_parse_instance,
+    reference_to_indices,
 )
 
 
@@ -232,3 +233,55 @@ def test_to_indices_names_the_first_bad_entry(ordered):
     ):
         with pytest.raises(ParseError, match=f"^{re.escape(bad)} is not a list of declared agents"):
             to_indices(index, entries, ordered)
+
+
+def _decoded(convert, index, entries, ordered):
+    try:
+        return convert(index, entries, ordered)
+    except ParseError as exc:
+        return str(exc)
+
+
+def _random_entries(rng, names):
+    """Entries of one random shape: equal sizes (empty included), mixed
+    sizes or one long entry, as lists or tuples, each sorted by index or
+    not, then at times one bad entry or member at a random position."""
+    shape = rng.choice(["equal", "equal", "mixed", "long", "empty"])
+    count = {"long": 1, "empty": rng.randint(1, 4)}.get(shape, rng.randint(0, 8))
+    size = rng.randint(1, 4)
+    entries = []
+    for _ in range(count):
+        k = {"equal": size, "mixed": rng.randint(0, 5), "long": rng.randint(5, 30), "empty": 0}[shape]
+        members = rng.sample(names, k) if k <= len(names) and rng.random() < 0.8 else rng.choices(names, k=k)
+        if rng.random() < 0.7:
+            members.sort(key=names.index)
+        entries.append(members if rng.random() < 0.7 else tuple(members))
+    bad = rng.choice([None, None, "string", "int", "null", "object", "undeclared", "unhashable"])
+    if bad is not None:
+        at = rng.randint(0, len(entries))
+        if bad in ("undeclared", "unhashable") and entries and rng.random() < 0.5:
+            member = "zz" if bad == "undeclared" else [names[0]]
+            entry = list(entries[rng.randrange(len(entries))])
+            entry.insert(rng.randint(0, len(entry)), member)
+            entries.insert(at, entry)
+        else:
+            value = {"string": "a0", "int": 5, "null": None, "object": {"a0": 1},
+                     "undeclared": ["a0", "zz"], "unhashable": [["a0"]]}[bad]
+            entries.insert(at, value)
+    return entries
+
+
+def test_to_indices_matches_the_per_entry_reference():
+    # The one-pass decoder against the old comprehension: the same tuples
+    # or the same ParseError text, for both values of ordered.
+    rng = random.Random(25)
+    names = [f"a{i}" for i in range(12)]
+    index = dict(zip(names, range(len(names))))
+    cases = [_random_entries(rng, names) for _ in range(3000)]
+    cases += [5, None, "a0a1", {"a0": 1}, (), [], [[]], [()], [[], []], [names], [names[::-1]]]
+    for entries in cases:
+        for ordered in (False, True):
+            want = _decoded(reference_to_indices, index, entries, ordered)
+            assert _decoded(to_indices, index, entries, ordered) == want, (entries, ordered)
+            if isinstance(entries, list):  # a one-shot iterator gives the same
+                assert _decoded(to_indices, index, iter(entries), ordered) == want

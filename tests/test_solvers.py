@@ -26,6 +26,7 @@ from mdsr import (
 from mdsr.cli import run
 from mdsr.core import matching_violations
 from mdsr.errors import (
+    CertificateFailure,
     IncompletePreferences,
     NotStrictOrder,
     PreconditionViolated,
@@ -196,7 +197,7 @@ def _matches_reference(inst, windows):
     # a result that is a matching whose groups span at most s positions.
     pos = inst.lpo().position
     for k, s in windows:
-        got = _sliding_dp(inst, k, s)
+        got = next(_sliding_dp(inst, k, s), None)
         assert got == reference_sliding_dp(inst, k, s)
         if got is not None:
             assert not matching_violations(inst, got)
@@ -236,6 +237,24 @@ def test_sliding_dp_matches_reference():
             windows |= {(3, 3), (n // 2, 3), (n - 2, 4)}
         _matches_reference(inst, windows)
         checked += 1
+
+
+def test_dp_refuses_only_when_every_accepting_matching_is_blocked():
+    # An n = 9 completion, forced to window = span = 6, has three accepting
+    # final states; the first one's matching is blocked by {a5,a6,a7}, the
+    # other two are stable.  At window = span = 3 all three are blocked.
+    rng = random.Random(1)
+    poset = random_poset(rng, 9, 0.5)
+    inst = random_completion_instance(rng, 9, 3, poset)
+    accepting = list(_sliding_dp(inst, 6, 6))
+    blocked = [find_blocking(inst, m) is not None for m in accepting]
+    assert blocked == [True, False, False]
+    assert accepting[0] == reference_sliding_dp(inst, 6, 6)
+    assert fpt_dp_solve(inst, window_size=6, span=6) == accepting[1]
+    accepting = list(_sliding_dp(inst, 3, 3))
+    assert len(accepting) == 3 and all(find_blocking(inst, m) for m in accepting)
+    with pytest.raises(CertificateFailure, match=r"^window 3 too small: returned matching is blocked by \{a0,a3,a7\}$"):
+        fpt_dp_solve(inst, window_size=3, span=3)
 
 
 def test_sliding_dp_over_many_window_slides(tmp_path):

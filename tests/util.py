@@ -836,6 +836,19 @@ def reference_sat_reduce(formula: OneInThreeFormula) -> SatReduction:
     return SatReduction(formula, instance, slot_occurrence, occurrence_slot)
 
 
+# core.to_indices as one comprehension step per entry, as it stood before
+# the single lookup pass: the reference for the differential test.
+def reference_to_indices(index, entries, ordered: bool = False) -> list:
+    get, seq = index.__getitem__, (list, tuple)
+    entry = entries
+    try:
+        if ordered:
+            return [tuple(map(get, e if isinstance(entry := e, seq) else None)) for e in entries]
+        return [tuple(sorted(map(get, e if isinstance(entry := e, seq) else None))) for e in entries]
+    except (KeyError, TypeError):
+        raise ParseError(f"{entry!r} is not a list of declared agents") from None
+
+
 # The instance parser as it stood before names became indices in one
 # converter: io checked every entry's names, then the named constructors
 # (inlined here) mapped them again with tupleset.  Kept as the reference

@@ -44,7 +44,7 @@ from .io import (
     serialize_instance,
     serialize_matching,
 )
-from .poset import LpoOrder, Poset, lpo_order, validate_poset, verify_lpo
+from .poset import LpoOrder, Poset, lpo_order, verify_lpo
 from .reductions import (
     OneInThreeFormula,
     instable_instance,
@@ -77,7 +77,6 @@ from .stability import (
     enumerate_stable,
     find_blocking,
     is_blocking,
-    is_stable,
 )
 
 __version__ = "0.1.0"

@@ -70,6 +70,11 @@ def _write(path: Optional[str], text: str, out) -> None:
             handle.write(text)
 
 
+def _usage(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _emit(args, out, human: str, payload: dict) -> None:
     if args.json:
         out.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -153,8 +158,7 @@ def _cmd_gen(args, out) -> int:
     # instable has no role to drop, cutoff drops A, tie drops A or B.
     bad_b = args.drop_b and (args.kind != "tie" or args.drop_a)
     if bad_b or args.drop_a and args.kind == "instable":
-        print(f"error: gen {args.kind} has no role for these drop flags", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(f"gen {args.kind} has no role for these drop flags")
     if args.kind == "instable":
         instance = instable_instance()
     elif args.kind == "cutoff":
@@ -167,6 +171,8 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_reduce_sat(args, out) -> int:
+    if args.emit_matching and args.assignment is None:
+        return _usage("--emit-matching needs --assignment")
     formula = parse_formula(_read(args.formula))
     reduction = sat_reduce(formula)
     if args.assignment is not None:
@@ -190,6 +196,8 @@ def _cmd_reduce_sat(args, out) -> int:
 
 
 def _cmd_reduce_smti(args, out) -> int:
+    if args.emit_matching and args.matching is None:
+        return _usage("--emit-matching needs --matching")
     smti = parse_smti_document(_read(args.input))
     reduction = smti_reduce(smti)
     if args.matching is not None:

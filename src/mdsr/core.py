@@ -132,6 +132,17 @@ def position_key(positions: Iterable[int], n: int) -> int:
     return k
 
 
+def _name_index(names) -> dict:
+    """The name -> index dict of names, which may already be one."""
+    return names if isinstance(names, dict) else dict(zip(names, range(len(names))))
+
+
+def _index_lists(names, lists: Mapping[str, Sequence[Iterable[str]]]) -> tuple:
+    """Each agent's entries, from lists keyed by name, as tuple-sets."""
+    index = _name_index(names)
+    return tuple(tuple(to_indices(index, lists.get(name, ()))) for name in names)
+
+
 class Instance:
     """An agent set with dimension d and a preference source.
 
@@ -140,34 +151,24 @@ class Instance:
     """
 
     def __init__(self, d, names, source, acceptability=None):
-        self._set_agents(d, names)._set_source(source, acceptability)
-
-    def _set_agents(self, d, names) -> "Instance":
-        """The agents and their name index, which names may already be."""
         if d < 2:
             raise ValidationError("group size d must be at least 2")
         self.d = d
         self.names = list(names)
-        self._index = names if isinstance(names, dict) else dict(zip(self.names, range(self.n)))
-        self._lpo: Optional[LpoOrder] = None
-        self._key = None  # the rank oracle, resolved on first use
-        return self
-
-    def _set_source(self, source, acceptability) -> "Instance":
+        self._index = _name_index(names)
         self.source = source
         self.acceptability = acceptability
+        # The per-agent lists: explicit ones or a poset's completion, else None.
+        self.lists = getattr(source, "lists", getattr(source, "completion", None))
+        self._lpo: Optional[LpoOrder] = None
+        self._key = None  # the rank oracle, resolved on first use
         self._validate()
-        return self
 
     # -- construction -----------------------------------------------------
 
     def index_sets(self, entries) -> tuple[TupleSet, ...]:
         """Entries of agent names as tuple-sets, through the one name index."""
         return tuple(to_indices(self._index, entries))
-
-    def index_lists(self, lists: Mapping[str, Sequence[Iterable[str]]]) -> tuple:
-        """index_sets of each agent's list, from lists keyed by name."""
-        return tuple(self.index_sets(lists.get(name, ())) for name in self.names)
 
     @classmethod
     def explicit(
@@ -180,16 +181,15 @@ class Instance:
 
         Lists covering every (d-1)-subset give complete preferences;
         shorter lists define the agent's acceptable sets."""
-        inst = cls.__new__(cls)._set_agents(d, names)
-        per_agent = inst.index_lists(lists)
-        complete = all(len(lst) == comb(inst.n - 1, d - 1) for lst in per_agent)
+        per_agent = _index_lists(names, lists)
+        n, k = len(per_agent), d - 1
+        complete = k > 0 and all(len(lst) == comb(n - 1, k) for lst in per_agent)
         acceptability = None if complete else tuple(map(frozenset, per_agent))
-        return inst._set_source(Explicit(per_agent), acceptability)
+        return cls(d, names, Explicit(per_agent), acceptability)
 
     @classmethod
     def master_list(cls, d: int, names: Sequence[str], master: Sequence[Iterable[str]]) -> "Instance":
-        inst = cls.__new__(cls)._set_agents(d, names)
-        return inst._set_source(MasterListSets(inst.index_sets(master)), None)
+        return cls(d, names, MasterListSets(tuple(to_indices(_name_index(names), master))))
 
     @classmethod
     def master_poset(
@@ -200,11 +200,10 @@ class Instance:
         completion: Optional[Mapping[str, Sequence[Iterable[str]]]] = None,
         acceptability: Optional[Mapping[str, Sequence[Iterable[str]]]] = None,
     ) -> "Instance":
-        inst = cls.__new__(cls)._set_agents(d, names)
-        comp = None if completion is None else inst.index_lists(completion)
+        comp = None if completion is None else _index_lists(names, completion)
         if acceptability is not None:
-            acceptability = tuple(map(frozenset, inst.index_lists(acceptability)))
-        return inst._set_source(MasterPoset(poset, comp), acceptability)
+            acceptability = tuple(map(frozenset, _index_lists(names, acceptability)))
+        return cls(d, names, MasterPoset(poset, comp), acceptability)
 
     # -- basic accessors --------------------------------------------------
 
@@ -241,9 +240,8 @@ class Instance:
         (d-1)-set without a."""
         if self.acceptability is not None:
             return self.acceptability[a]
-        lists = _agent_lists(self)
-        if lists is not None:
-            return lists[a]
+        if self.lists is not None:
+            return self.lists[a]
         return (t for t in combinations(range(self.n), self.d - 1) if a not in t)
 
     def lpo(self) -> LpoOrder:
@@ -277,7 +275,7 @@ class Instance:
             self._validate_master_poset(src)
         else:
             raise ValidationError(f"unknown source {src!r}")
-        if self.acceptability is not None and _agent_lists(self) is None:
+        if self.acceptability is not None and self.lists is None:
             # Acceptable sets on no per-agent list are checked here.
             for a, sets in enumerate(self.acceptability):
                 self._check_entries(a, sets)
@@ -350,8 +348,7 @@ class Instance:
         if self.is_canonical:
             pos, n = self.lpo().position, self.n
             return lambda a, t: position_key(sorted(map(pos.__getitem__, t)), n)
-        lists = src.lists if isinstance(src, Explicit) else src.completion
-        rank_of = cache(lambda a: {t: i for i, t in enumerate(lists[a])})
+        rank_of = cache(lambda a: {t: i for i, t in enumerate(self.lists[a])})
 
         def listed(a, t):
             try:
@@ -395,15 +392,6 @@ class Instance:
 # -- derivation checks ----------------------------------------------------
 
 
-def _agent_lists(instance: Instance):
-    src = instance.source
-    if isinstance(src, Explicit):
-        return src.lists
-    if isinstance(src, MasterPoset) and src.completion is not None:
-        return src.completion
-    return None
-
-
 def is_derived_from_master_list(
     instance: Instance,
     master: Optional[Sequence[TupleSet]] = None,
@@ -415,7 +403,7 @@ def is_derived_from_master_list(
         if isinstance(instance.source, MasterListSets):
             return True
         raise ValidationError("a candidate master list is required")
-    lists = _agent_lists(instance)
+    lists = instance.lists
     if lists is None:
         raise ValidationError("explicit per-agent lists are required")
     master = [tuple(t) for t in master]
@@ -463,7 +451,7 @@ def is_derived_from_poset(
     Incomplete lists may miss the chain's sets, so they compare every pair
     of entries with dominates: one bipartite matching each, O(L^2) in all.
     """
-    lists = _agent_lists(instance)
+    lists = instance.lists
     if lists is None:
         # Oracle sources are derived by construction.
         return True

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .core import Instance, _agent_lists, _swaps, is_derived_from_poset, materialize_explicit
+from .core import Instance, _swaps, is_derived_from_poset, materialize_explicit
 from .errors import BudgetExceeded, TooLarge, ValidationError
 from .poset import Poset, lpo_order
 
@@ -23,9 +23,9 @@ def recover_strict_order(instance: Instance, agents=None) -> Optional[Poset]:
     is checked by is_derived_from_poset, which on complete lists is the
     same single-swap rule and on incomplete ones the pairwise check.
     """
-    if _agent_lists(instance) is None:
+    if instance.lists is None:
         instance = materialize_explicit(instance)
-    lists = _agent_lists(instance)
+    lists = instance.lists
     agents = sorted(range(instance.n) if agents is None else agents)
     keep = set(agents)
     pairs, pools = set(), dict.fromkeys(agents, agents)
@@ -53,7 +53,7 @@ def deletion_distance(instance: Instance, max_budget: Optional[int] = None):
     n = instance.n
     if max_budget is None:
         max_budget = n - 1
-    if _agent_lists(instance) is None:
+    if instance.lists is None:
         instance = materialize_explicit(instance)
     for size in range(0, max_budget + 1):
         if comb(n, size) > 2 * 10**5:

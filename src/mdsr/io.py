@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .core import Explicit, Instance, MasterListSets, MasterPoset, Matching, to_indices
+from .core import Explicit, Instance, MasterListSets, Matching, to_indices
 from .errors import ParseError, ValidationError
 from .poset import Poset
 from .smti import SmtiInstance
@@ -40,34 +40,24 @@ def serialize_instance(instance: Instance) -> str:
         "agents": list(instance.names),
     }
     src = instance.source
-    if isinstance(src, Explicit):
-        doc["source"] = {
-            "type": "explicit",
-            "lists": {
-                instance.names[a]: [_names_of(instance, t) for t in lst]
-                for a, lst in enumerate(src.lists)
-            },
-        }
-    elif isinstance(src, MasterListSets):
-        doc["source"] = {
-            "type": "master_list_sets",
-            "order": [_names_of(instance, t) for t in src.order],
-        }
+    if isinstance(src, MasterListSets):
+        order = [_names_of(instance, t) for t in src.order]
+        source: dict = {"type": "master_list_sets", "order": order}
+    elif isinstance(src, Explicit):
+        source = {"type": "explicit"}
     else:
-        source: dict = {"type": "master_poset"}
+        source = {"type": "master_poset"}
         if src.poset.is_ranking:
             source["ranking"] = _names_of(instance, src.poset.ranking)
         else:
             source["pairs"] = [_names_of(instance, p) for p in src.poset.source_pairs]
-        if src.completion is None:
-            source["tiebreak"] = "canonical"
-        else:
-            source["tiebreak"] = "explicit"
-            source["completion"] = {
-                instance.names[a]: [_names_of(instance, t) for t in lst]
-                for a, lst in enumerate(src.completion)
-            }
-        doc["source"] = source
+        source["tiebreak"] = "canonical" if src.completion is None else "explicit"
+    if instance.lists is not None:
+        source["lists" if isinstance(src, Explicit) else "completion"] = {
+            instance.names[a]: [_names_of(instance, t) for t in lst]
+            for a, lst in enumerate(instance.lists)
+        }
+    doc["source"] = source
     if instance.acceptability is not None:
         doc["acceptability"] = {
             instance.names[a]: sorted(_names_of(instance, t) for t in sets)
@@ -114,7 +104,8 @@ def parse_instance(text: str) -> Instance:
         if acc is not None:
             if instance.acceptability is None:
                 raise ParseError("acceptability given for complete explicit lists")
-            if tuple(map(frozenset, instance.index_lists(acc))) != instance.acceptability:
+            given = (frozenset(instance.index_sets(acc.get(a, ()))) for a in instance.names)
+            if tuple(given) != instance.acceptability:
                 raise ParseError("acceptability differs from the sets on the lists")
         return instance
     if kind == "master_list_sets":

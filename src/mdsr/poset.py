@@ -45,7 +45,32 @@ class Poset:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], n: int) -> "Poset":
-        return validate_poset(pairs, n)
+        """Build the transitive closure of the given strict pairs.
+
+        Rejects directly contradictory pairs and any cycle the closure implies.
+        """
+        seen = set()
+        for u, v in pairs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValidationError(f"pair ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise CycleDetected(f"reflexive pair ({u}, {u})")
+            if (v, u) in seen:
+                raise DuplicateContradiction(f"both ({u},{v}) and ({v},{u}) supplied")
+            seen.add((u, v))
+        direct = sorted(seen)
+        order, succ = _extract(direct, n)
+        if len(order) < n:
+            v = min(set(range(n)).difference(order))
+            raise CycleDetected(f"pairs imply a cycle through or above agent {v}")
+        gt, lt = [0] * n, [0] * n
+        for u in order:
+            for v in succ[u]:
+                lt[v] |= lt[u] | 1 << u
+        for u in reversed(order):
+            for v in succ[u]:
+                gt[u] |= gt[v] | 1 << v
+        return cls(n, gt=gt, lt=lt, source_pairs=direct)
 
     @property
     def is_ranking(self) -> bool:
@@ -122,35 +147,6 @@ def _extract(pairs: Iterable[tuple[int, int]], n: int):
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
     return order, succ
-
-
-def validate_poset(pairs: Iterable[tuple[int, int]], n: int) -> Poset:
-    """Build the transitive closure of the given strict pairs.
-
-    Rejects directly contradictory pairs and any cycle the closure implies.
-    """
-    seen = set()
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"pair ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise CycleDetected(f"reflexive pair ({u}, {u})")
-        if (v, u) in seen:
-            raise DuplicateContradiction(f"both ({u},{v}) and ({v},{u}) supplied")
-        seen.add((u, v))
-    direct = sorted(seen)
-    order, succ = _extract(direct, n)
-    if len(order) < n:
-        v = min(set(range(n)).difference(order))
-        raise CycleDetected(f"pairs imply a cycle through or above agent {v}")
-    gt, lt = [0] * n, [0] * n
-    for u in order:
-        for v in succ[u]:
-            lt[v] |= lt[u] | 1 << u
-    for u in reversed(order):
-        for v in succ[u]:
-            gt[u] |= gt[v] | 1 << v
-    return Poset(n, gt=gt, lt=lt, source_pairs=direct)
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,6 @@ class SatReduction:
     instance: Instance
     # occurrence (i, k) of the variable in clause slot (j, l), 1-based
     slot_occurrence: dict
-    occurrence_slot: dict
 
 
 def _sat_names(formula: OneInThreeFormula) -> list[str]:
@@ -162,13 +161,11 @@ def sat_reduce(formula: OneInThreeFormula) -> SatReduction:
     index = {name: i for i, name in enumerate(names)}
 
     slot_occurrence = {}
-    occurrence_slot = {}
     seen = {i: 0 for i in range(1, formula.n_vars + 1)}
     for j, clause in enumerate(formula.clauses, 1):
         for l, v in enumerate(clause, 1):
             seen[v] += 1
             slot_occurrence[(j, l)] = (v, seen[v])
-            occurrence_slot[(v, seen[v])] = (j, l)
 
     def c(j):
         return index[f"c[{j}]"]
@@ -213,7 +210,7 @@ def sat_reduce(formula: OneInThreeFormula) -> SatReduction:
     placed = set(head)
     rest = (p for p in combinations(range(len(names)), 2) if p not in placed)
     instance = Instance(3, names, MasterListSets((*head, *rest)))
-    return SatReduction(formula, instance, slot_occurrence, occurrence_slot)
+    return SatReduction(formula, instance, slot_occurrence)
 
 
 def sat_forward_matching(

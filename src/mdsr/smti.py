@@ -159,11 +159,6 @@ class SmtiInstance:
             return j - 1
         return j
 
-    def woman_rank(self, j: int, i: int) -> int:
-        if (i, j) not in self.acceptable:
-            raise MalformedSmti(f"man {i} unacceptable to woman {j}")
-        return i
-
     def blocking_pairs(self, matching: dict) -> list[tuple[int, int]]:
         """Pairs blocking the (partial) man->woman matching."""
         woman_of = dict(matching)
@@ -182,12 +177,22 @@ class SmtiInstance:
                 blocking.append((i, j))
         return blocking
 
-    def is_perfect_stable(self, matching: dict) -> bool:
+    def check_perfect_stable(self, matching: dict) -> None:
+        """Raise NotPerfect unless the man->woman matching marries everyone
+        once, NotStable if it uses an unacceptable pair or a pair blocks it."""
         if len(matching) != self.n or set(matching.values()) != set(range(self.n)):
-            return False
+            raise NotPerfect("every man and woman must be matched exactly once")
         if any((i, j) not in self.acceptable for i, j in matching.items()):
+            raise NotStable("matching uses an unacceptable pair")
+        if blocking := self.blocking_pairs(matching):
+            raise NotStable(f"blocking pairs: {blocking}")
+
+    def is_perfect_stable(self, matching: dict) -> bool:
+        try:
+            self.check_perfect_stable(matching)
+        except (NotPerfect, NotStable):
             return False
-        return not self.blocking_pairs(matching)
+        return True
 
     def perfect_stable_matchings(self) -> Iterator[dict]:
         """Brute force over all perfect matchings; exponential."""
@@ -294,13 +299,7 @@ def smti_forward(reduction: SmtiReduction, matching: dict) -> Matching:
     """Translate a perfect stable marriage matching (man -> woman dict)
     into a stable matching of the roommates instance."""
     smti = reduction.smti
-    if len(matching) != smti.n or set(matching.values()) != set(range(smti.n)):
-        raise NotPerfect("every man and woman must be matched exactly once")
-    if any((i, j) not in smti.acceptable for i, j in matching.items()):
-        raise NotStable("matching uses an unacceptable pair")
-    if smti.blocking_pairs(matching):
-        raise NotStable(f"blocking pairs: {smti.blocking_pairs(matching)}")
-
+    smti.check_perfect_stable(matching)
     idx = reduction.instance.index
     groups = []
     for i, j in matching.items():
@@ -316,7 +315,6 @@ def smti_backward(reduction: SmtiReduction, matching: Matching) -> dict:
     """Recover the perfect stable marriage matching from a stable
     roommates matching: man i is married to the woman whose agent shares
     his group."""
-    smti = reduction.smti
     inst = reduction.instance
     recovered = {}
     for g in matching:
@@ -332,8 +330,5 @@ def smti_backward(reduction: SmtiReduction, matching: Matching) -> dict:
         if i in recovered:
             raise NotWellFormed(f"man {i} appears in two groups")
         recovered[i] = j
-    if len(recovered) != smti.n or set(recovered.values()) != set(range(smti.n)):
-        raise NotPerfect("recovered marriage matching is not perfect")
-    if smti.blocking_pairs(recovered):
-        raise NotStable("recovered marriage matching is not stable")
+    reduction.smti.check_perfect_stable(recovered)
     return recovered

@@ -126,10 +126,6 @@ def _master_list_blocked(key, order, cur) -> bool:
     return False
 
 
-def is_stable(instance: Instance, m: Matching) -> bool:
-    return find_blocking(instance, m) is None
-
-
 def _acceptable_groups(instance: Instance) -> list[Group]:
     """All groups acceptable to every member, in lexicographic order."""
     groups = set()

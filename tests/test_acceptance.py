@@ -14,7 +14,6 @@ from mdsr import (
     greedy_big_d_solve,
     instable_instance,
     is_blocking,
-    is_stable,
     locality_bound,
     lpo_order,
     normalize_matching,
@@ -102,7 +101,7 @@ def test_criterion_3_dp_matches_brute_force():
         got = fpt_dp_solve(inst)
         ok = ok and (want is None) == (got is None)
         if got is not None:
-            ok = ok and is_stable(inst, got)
+            ok = ok and find_blocking(inst, got) is None
             ok = ok and group_spans_ok(inst, got, locality_bound(kappa, 3))
         checked += 1
     # a frozen instance where the answer is provably "no"
@@ -174,16 +173,16 @@ def test_criterion_7_marriage_reduction():
         inst.agents(*g)
         for g in (("A", "C", "B"), ("D1", "D2", "D8"), ("D3", "D4", "D5"))
     )
-    ok = ok and is_stable(inst, m1) and is_stable(inst, m2)
+    ok = ok and find_blocking(inst, m1) is None and find_blocking(inst, m2) is None
     m_rest = (("C", "D5", "D8"), ("D2", "D3", "D7"), ("D1", "D4", "D6"))
     for drop in (("A",), ("B", "B1")):
         sub = tie_gadget_instance(drop=drop)
         m = normalize_matching(sub.agents(*g) for g in m_rest)
-        ok = ok and is_stable(sub, m)
+        ok = ok and find_blocking(sub, m) is None
     # cut-off gadget: unsolvable alone, solvable without its anchor
     ok = ok and brute_force_solve(cutoff_gadget_instance()) is None
     sub = cutoff_gadget_instance(drop=("A",))
-    ok = ok and is_stable(sub, normalize_matching([sub.agents("X3", "X4", "X5")]))
+    ok = ok and find_blocking(sub, normalize_matching([sub.agents("X3", "X4", "X5")])) is None
     # small marriage instances round-trip through the reduction
     cases = [
         SmtiInstance(1, frozenset(), frozenset({(0, 0)})),

@@ -377,6 +377,41 @@ def test_gen_drop_without_role_exits_1(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sat", "--formula", "formula.txt", "--emit-matching"],
+        ["smti", "--input", "smti.json", "--emit-matching"],
+    ],
+    ids=["sat-without-assignment", "smti-without-matching"],
+)
+def test_emit_matching_without_witness_exits_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "formula.txt").write_text("p oit3 3 3\n1 2 3\n1 2 3\n1 2 3\n")
+    (tmp_path / "smti.json").write_text('{"version": "1", "n": 1, "acceptable": [[1, 1]]}')
+    code, text = invoke(["reduce", *argv])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.startswith("error: --emit-matching needs")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--input", "-"],
+        ["check", "--instance", "-", "--matching", "m.json"],
+    ],
+    ids=["solve", "check"],
+)
+def test_instance_read_from_stdin(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    inst = chain_instance(6, 3)
+    (tmp_path / "m.json").write_text(serialize_matching(inst, ((0, 1, 2), (3, 4, 5))))
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_instance(inst)))
+    code, text = invoke(["--json", *argv])
+    assert code == 0
+    assert json.loads(text)["verdict"] == "STABLE"
+
+
 def test_reduce_sat_round_trip(tmp_path):
     formula = tmp_path / "formula.txt"
     formula.write_text("p oit3 3 3\n1 2 3\n1 2 3\n1 2 3\n")

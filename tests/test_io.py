@@ -148,6 +148,15 @@ def test_parse_instance_errors():
             '{"version":"1","d":2,"agents":["a","b"],'
             '"source":{"type":"explicit","lists":{"a":[["z"]]}}}'
         )
+    complete_lists = {"type": "explicit", "lists": {"a": [["b"]], "b": [["a"]]}}
+    for source, extra, message in [
+        ({"type": "master_poset"}, {}, "needs either 'ranking' or 'pairs'"),
+        ({"type": "master_poset", "ranking": ["a", "b"], "tiebreak": "random"}, {}, "unknown tiebreak"),
+        (complete_lists, {"acceptability": {"a": [["b"]]}}, "acceptability given for complete"),
+    ]:
+        doc = {"version": "1", "d": 2, "agents": ["a", "b"], "source": source, **extra}
+        with pytest.raises(ParseError, match=message):
+            parse_instance(json.dumps(doc))
 
 
 def _random_document(rng: random.Random, kind: str) -> str:
@@ -217,6 +226,8 @@ def test_matching_round_trip():
         parse_matching("[]", inst)
     with pytest.raises(ParseError):
         parse_matching('{"version":"1","groups":[["zz"]]}', inst)
+    with pytest.raises(ParseError, match="missing 'groups' list"):
+        parse_matching('{"version":"1"}', inst)
 
 
 @pytest.mark.parametrize("ordered", [False, True])

@@ -9,7 +9,6 @@ from mdsr import (
     instable_instance,
     is_blocking,
     is_derived_from_master_list,
-    is_stable,
     normalize_matching,
     parse_formula,
     sat_backward_assignment,
@@ -98,6 +97,10 @@ def test_parse_formula():
         parse_formula("p wrong 3 3\n")
     with pytest.raises(ParseError):
         parse_formula("p oit3 3 1\n1 2\n")
+    with pytest.raises(ParseError, match="bad header"):
+        parse_formula("p oit3 three 1\n1 2 3\n")
+    with pytest.raises(ParseError, match="expected integers"):
+        parse_formula("p oit3 3 1\n1 2 x\n")
 
 
 def test_sat_reduce_shape():
@@ -129,7 +132,7 @@ def test_sat_forward_stable_and_round_trip():
     for solution in formula.solutions():
         m = sat_forward_matching(reduction, solution)
         assert len(m) == 23
-        assert is_stable(reduction.instance, m)
+        assert find_blocking(reduction.instance, m) is None
         assert sat_backward_assignment(reduction, m) == solution
 
 
@@ -154,6 +157,12 @@ def test_sat_backward_rejects_malformed_matchings():
     ga[ga.index(idx("x[1,2]"))], gb[0] = gb[0], ga[ga.index(idx("x[1,2]"))]
     with pytest.raises(NotWellFormed):
         sat_backward_assignment(reduction, normalize_matching(broken))
+    with pytest.raises(NotWellFormed, match="clause 1: c and d are not grouped together"):
+        sat_backward_assignment(reduction, ())
+    # every clause pair grouped with an auxiliary agent: no variable is true
+    m = normalize_matching(inst.agents(f"c[{j}]", f"d[{j}]", f"z[1,1,{j}]") for j in (1, 2, 3))
+    with pytest.raises(NotWellFormed, match="not a solution"):
+        sat_backward_assignment(reduction, m)
 
 
 def test_sat_second_formula_round_trip():
@@ -195,7 +204,6 @@ def test_sat_reduction_matches_reference():
         new, ref = sat_reduce(formula), reference_sat_reduce(formula)
         assert serialize_instance(new.instance) == serialize_instance(ref.instance)
         assert new.slot_occurrence == ref.slot_occurrence
-        assert new.occurrence_slot == ref.occurrence_slot
         for solution in formula.solutions():
             assert serialize_matching(
                 new.instance, sat_forward_matching(new, solution)

@@ -10,7 +10,6 @@ from mdsr import (
     find_blocking,
     is_blocking,
     is_derived_from_poset,
-    is_stable,
     materialize_explicit,
     normalize_matching,
     serialize_instance,
@@ -67,16 +66,16 @@ def test_tie_gadget_m1_m2_stable():
         ("D2", "D3", "D7"),
         ("D1", "D4", "D6"),
     )
-    assert is_stable(inst, m1)
+    assert find_blocking(inst, m1) is None
     m2 = named(inst, ("A", "C", "B"), ("D1", "D2", "D8"), ("D3", "D4", "D5"))
-    assert is_stable(inst, m2)
+    assert find_blocking(inst, m2) is None
 
 
 def test_tie_gadget_m_stable_in_restrictions():
     m_groups = (("C", "D5", "D8"), ("D2", "D3", "D7"), ("D1", "D4", "D6"))
     for drop in (("A",), ("B", "B1")):
         inst = tie_gadget_instance(drop=drop)
-        assert is_stable(inst, named(inst, *m_groups))
+        assert find_blocking(inst, named(inst, *m_groups)) is None
 
 
 def test_cutoff_gadget_no_stable_matching():
@@ -97,7 +96,7 @@ def test_cutoff_gadget_no_stable_matching():
 def test_cutoff_gadget_without_a():
     inst = cutoff_gadget_instance(drop=("A",))
     m = named(inst, ("X3", "X4", "X5"))
-    assert is_stable(inst, m)
+    assert find_blocking(inst, m) is None
     assert m in enumerate_stable(inst)
 
 
@@ -123,7 +122,6 @@ def test_smti_ranks_and_blocking():
     assert s.man_ties(0) == [0]
     assert s.man_rank(0, 0) == s.man_rank(0, 1) == 0
     assert s.man_rank(0, 2) == 2
-    assert s.woman_rank(1, 2) == 2
     # everyone unmatched: the top pair blocks
     assert (0, 0) in s.blocking_pairs({})
     matching = {0: 0, 1: 1, 2: 2}
@@ -169,7 +167,7 @@ def test_smti_forward_backward_1x1():
     inst = reduction.instance
     assert inst.agents("a[1]", "b[1]", "c[1,1]") in m
     assert inst.agents("x3[1]", "x4[1]", "x5[1]") in m
-    assert is_stable(inst, m)
+    assert find_blocking(inst, m) is None
     assert smti_backward(reduction, m) == {0: 0}
 
 
@@ -193,6 +191,9 @@ def test_smti_forward_rejects_bad_matchings():
             smti_reduce(SmtiInstance(2, frozenset(), frozenset({(0, 0), (0, 1), (1, 0)}))),
             {0: 1, 1: 0},
         )
+    diagonal = smti_reduce(SmtiInstance(2, frozenset(), frozenset({(0, 0), (1, 1)})))
+    with pytest.raises(NotStable, match="unacceptable pair"):
+        smti_forward(diagonal, {0: 1, 1: 0})
 
 
 def test_smti_backward_rejects_malformed():
@@ -211,6 +212,24 @@ def test_smti_backward_rejects_malformed():
             two,
             normalize_matching([two.instance.agents("a[1]", "a[2]", "b[1]")]),
         )
+    m = named(two.instance, ("a[1]", "b[1]", "x2[1]"), ("a[1]", "b[2]", "x3[1]"))
+    with pytest.raises(NotWellFormed, match="man 0 appears in two groups"):
+        smti_backward(two, m)
+
+
+def test_smti_backward_checks_the_recovered_marriage():
+    two = smti_reduce(SmtiInstance(2, frozenset(), all_pairs(2)))
+    with pytest.raises(NotPerfect):
+        smti_backward(two, named(two.instance, ("a[1]", "b[1]", "c[1,1]")))
+    # man 1 and woman 1 rank each other first, and both are married elsewhere
+    m = named(two.instance, ("a[1]", "b[2]", "c[1,2]"), ("a[2]", "b[1]", "c[2,1]"))
+    with pytest.raises(NotStable):
+        smti_backward(two, m)
+    # a pair neither accepts: refused as a marriage, not as a malformed instance
+    diagonal = smti_reduce(SmtiInstance(2, frozenset(), frozenset({(0, 0), (1, 1)})))
+    m = named(diagonal.instance, ("a[1]", "b[2]", "x2[1]"), ("a[2]", "b[1]", "x2[2]"))
+    with pytest.raises(NotStable, match="unacceptable pair"):
+        smti_backward(diagonal, m)
 
 
 def test_smti_round_trip_three_men():

@@ -16,7 +16,6 @@ from mdsr import (
     fpt_dp_solve,
     greedy_big_d_solve,
     group_span_bound,
-    is_stable,
     locality_bound,
     plan,
     serialize_instance,
@@ -169,7 +168,7 @@ def test_dp_sliding_matches_brute_force():
         got = fpt_dp_solve(inst, window_size=n - 2, span=n - 2)
         assert (want is None) == (got is None)
         if got is not None:
-            assert is_stable(inst, got)
+            assert find_blocking(inst, got) is None
         checked += 1
 
 

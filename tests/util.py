@@ -13,7 +13,6 @@ from mdsr.core import (
     MasterListSets,
     MasterPoset,
     Matching,
-    _agent_lists,
     dominates,
     materialize_explicit,
     matching_violations,
@@ -485,7 +484,7 @@ def reference_is_derived_from_poset(
     """True iff no agent ranks a dominated tuple-set above its dominator.
     With agents given, only their lists are checked, restricted to the
     tuple-sets inside agents."""
-    lists = _agent_lists(instance)
+    lists = instance.lists
     if lists is None:
         # Oracle sources are derived by construction.
         return True
@@ -512,9 +511,9 @@ def reference_recover_strict_order(instance: Instance, agents=None) -> Optional[
     (then the smallest-index-first topological order is checked in full)
     or there is no generating order.
     """
-    if _agent_lists(instance) is None:
+    if instance.lists is None:
         instance = materialize_explicit(instance)
-    lists = _agent_lists(instance)
+    lists = instance.lists
     if agents is None:
         agents = list(range(instance.n))
     agents = sorted(agents)
@@ -765,13 +764,11 @@ def reference_sat_reduce(formula: OneInThreeFormula) -> SatReduction:
     index = {name: i for i, name in enumerate(names)}
 
     slot_occurrence = {}
-    occurrence_slot = {}
     seen = {i: 0 for i in range(1, formula.n_vars + 1)}
     for j, clause in enumerate(formula.clauses, 1):
         for l, v in enumerate(clause, 1):
             seen[v] += 1
             slot_occurrence[(j, l)] = (v, seen[v])
-            occurrence_slot[(v, seen[v])] = (j, l)
 
     def c(j):
         return index[f"c[{j}]"]
@@ -833,7 +830,7 @@ def reference_sat_reduce(formula: OneInThreeFormula) -> SatReduction:
         (names[p[0]], names[p[1]]) for p in rest
     ]
     instance = Instance.master_list(3, names, full)
-    return SatReduction(formula, instance, slot_occurrence, occurrence_slot)
+    return SatReduction(formula, instance, slot_occurrence)
 
 
 # core.to_indices as one comprehension step per entry, as it stood before

@@ -82,7 +82,10 @@ def _emit(args, out, human: str, payload: dict) -> None:
         out.write(human + "\n")
 
 
-def _cmd_solve(args, out) -> int:
+def _solve_groups(args) -> tuple:
+    """The algorithm run and the named groups it returned, or None; only
+    these outlive the call, so the instance and the index matching are
+    released before the payload and the witness are encoded."""
     instance = parse_instance(_read(args.input))
     algo = plan(instance) if args.algo == "auto" else args.algo
     # The exact searches keep their own default caps unless --max-n is given.
@@ -97,20 +100,18 @@ def _cmd_solve(args, out) -> int:
         )
     else:
         matching = brute_force_solve(instance, **cap)
+    return algo, None if matching is None else named_groups(instance, matching)
+
+
+def _cmd_solve(args, out) -> int:
+    algo, groups = _solve_groups(args)
     # Every solver returns only stable matchings: strict blocks are stable
     # by construction, and greedy, dp and brute check what they return.
-    validated = matching is not None
-    if matching is None:
-        verdict, groups = "NO-STABLE", None
-    else:
-        verdict, groups = "STABLE", named_groups(instance, matching)
-    _emit(
-        args,
-        out,
-        verdict,
-        {"verdict": verdict, "algo": algo, "groups": groups, "validated": validated},
-    )
-    if args.witness and matching is not None:
+    validated = groups is not None
+    verdict = "STABLE" if validated else "NO-STABLE"
+    payload = {"verdict": verdict, "algo": algo, "groups": groups, "validated": validated}
+    _emit(args, out, verdict, payload)
+    if args.witness and validated:
         _write(args.witness, serialize_groups(groups), out)
     return EXIT_OK
 
@@ -173,6 +174,8 @@ def _cmd_gen(args, out) -> int:
 def _cmd_reduce_sat(args, out) -> int:
     if args.emit_matching and args.assignment is None:
         return _usage("--emit-matching needs --assignment")
+    if args.assignment is not None and not args.emit_matching:
+        return _usage("--assignment needs --emit-matching")
     formula = parse_formula(_read(args.formula))
     reduction = sat_reduce(formula)
     if args.assignment is not None:
@@ -183,9 +186,8 @@ def _cmd_reduce_sat(args, out) -> int:
                 f"--assignment takes comma-separated integers, not {args.assignment!r}"
             ) from None
         matching = sat_forward_matching(reduction, true_vars)
-        if args.emit_matching:
-            _write(args.output, serialize_matching(reduction.instance, matching), out)
-            return EXIT_OK
+        _write(args.output, serialize_matching(reduction.instance, matching), out)
+        return EXIT_OK
     if args.extract is not None:
         matching = parse_matching(_read(args.extract), reduction.instance)
         true_vars = sat_backward_assignment(reduction, matching)
@@ -198,14 +200,15 @@ def _cmd_reduce_sat(args, out) -> int:
 def _cmd_reduce_smti(args, out) -> int:
     if args.emit_matching and args.matching is None:
         return _usage("--emit-matching needs --matching")
+    if args.matching is not None and not args.emit_matching:
+        return _usage("--matching needs --emit-matching")
     smti = parse_smti_document(_read(args.input))
     reduction = smti_reduce(smti)
     if args.matching is not None:
         marriage = parse_marriage(_read(args.matching))
         matching = smti_forward(reduction, marriage)
-        if args.emit_matching:
-            _write(args.output, serialize_matching(reduction.instance, matching), out)
-            return EXIT_OK
+        _write(args.output, serialize_matching(reduction.instance, matching), out)
+        return EXIT_OK
     if args.extract is not None:
         matching = parse_matching(_read(args.extract), reduction.instance)
         marriage = smti_backward(reduction, matching)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import accumulate, chain, combinations, islice, repeat
 from math import comb
-from operator import lt
+from operator import itemgetter, lt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -255,8 +255,10 @@ class Instance:
         """Consecutive blocks of d agents along the lpo order, the last
         n mod d agents unmatched."""
         order, d = self.lpo().order, self.d
-        # Slices of a permutation: each block is a set, sorted once.
-        return normalize_matching(order[i : i + d] for i in range(0, self.n - d + 1, d))
+        # Slices of a permutation, each sorted once; disjoint, so ordered by first members.
+        blocks = [tuple(sorted(order[i : i + d])) for i in range(0, self.n - d + 1, d)]
+        blocks.sort(key=itemgetter(0))
+        return tuple(blocks)
 
     # -- validation -------------------------------------------------------
 

@@ -8,6 +8,8 @@ so parse -> serialize round-trips byte-identically.
 from __future__ import annotations
 
 import json
+from itertools import repeat
+from operator import itemgetter
 
 from .core import Explicit, Instance, MasterListSets, Matching, to_indices
 from .errors import ParseError, ValidationError
@@ -68,6 +70,7 @@ def serialize_instance(instance: Instance) -> str:
 
 def parse_instance(text: str) -> Instance:
     doc = _load(text, "instance document")
+    del text  # decoded, so the text is freed before the instance is built
     for field in ("d", "agents", "source"):
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
@@ -76,7 +79,7 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(d, int) or not isinstance(names, list):
         raise ParseError("field types: d must be int, agents a list")
     # JSON object keys are strings, so only string names can be given lists.
-    if not all(isinstance(name, str) for name in names):
+    if not all(map(isinstance, names, repeat(str))):
         raise ParseError("agent names must be strings")
     index = dict(zip(names, range(len(names))))
     if len(index) != len(names):
@@ -117,7 +120,8 @@ def parse_instance(text: str) -> Instance:
         return Instance.master_list(d, index, order)
     if kind == "master_poset":
         if "ranking" in src:
-            poset = Poset.from_ranking(to_indices(index, [src["ranking"]], ordered=True)[0])
+            # popped, so the name list dies once it is mapped to indices
+            poset = Poset.from_ranking(to_indices(index, [src.pop("ranking")], ordered=True)[0])
         elif "pairs" in src:
             pairs = to_indices(index, src["pairs"], ordered=True)
             if any(len(p) != 2 for p in pairs):
@@ -136,8 +140,11 @@ def parse_instance(text: str) -> Instance:
 
 
 def named_groups(instance: Instance, m: Matching) -> list[list]:
-    """The groups of m as lists of names, each sorted, in sorted order."""
-    return sorted(sorted(_names_of(instance, g)) for g in m)
+    """The groups of m as sorted name lists, ordered by first name (they are disjoint)."""
+    name = instance.names.__getitem__
+    groups = [sorted(map(name, g)) for g in m]
+    groups.sort(key=itemgetter(0))
+    return groups
 
 
 def serialize_groups(groups: list[list]) -> str:

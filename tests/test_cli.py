@@ -2,9 +2,11 @@ import io
 import json
 import random
 import time
+import weakref
 
 import pytest
 
+import mdsr.cli
 import mdsr.solvers
 from mdsr import (
     BlockingReport,
@@ -18,6 +20,7 @@ from mdsr import (
 )
 from mdsr.cli import run
 from mdsr.errors import CertificateFailure
+from mdsr.io import named_groups, serialize_groups
 
 from util import (
     chain_instance,
@@ -26,7 +29,10 @@ from util import (
     random_complete_instance,
     random_completion_instance,
     random_poset,
+    reference_lpo_blocks,
+    reference_named_groups,
     two_level_instance,
+    unsorted_names,
 )
 
 
@@ -397,6 +403,26 @@ def test_emit_matching_without_witness_exits_1(tmp_path, monkeypatch, capsys, ar
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sat", "--formula", "formula.txt", "--assignment", "2"],
+        ["smti", "--input", "smti.json", "--matching", "pairs.json"],
+    ],
+    ids=["sat-assignment-alone", "smti-matching-alone"],
+)
+def test_witness_without_emit_matching_exits_1(tmp_path, monkeypatch, capsys, argv):
+    """A witness is only read to emit its matching: alone it is refused
+    rather than checked and dropped."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "formula.txt").write_text("p oit3 3 3\n1 2 3\n1 2 3\n1 2 3\n")
+    (tmp_path / "smti.json").write_text('{"version": "1", "n": 1, "acceptable": [[1, 1]]}')
+    (tmp_path / "pairs.json").write_text("[[1, 1]]")
+    code, text = invoke(["reduce", *argv])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err == f"error: {argv[3]} needs --emit-matching\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["solve", "--input", "-"],
         ["check", "--instance", "-", "--matching", "m.json"],
     ],
@@ -468,9 +494,9 @@ def test_reduce_smti_round_trip(tmp_path):
     "argv",
     [
         ["smti", "--input", "three_element_pair.json"],
-        ["smti", "--input", "smti.json", "--matching", "not_json.txt"],
-        ["smti", "--input", "smti.json", "--matching", "not_pairs.json"],
-        ["sat", "--formula", "formula.txt", "--assignment", "x"],
+        ["smti", "--input", "smti.json", "--matching", "not_json.txt", "--emit-matching"],
+        ["smti", "--input", "smti.json", "--matching", "not_pairs.json", "--emit-matching"],
+        ["sat", "--formula", "formula.txt", "--assignment", "x", "--emit-matching"],
         ["smti", "--input", "float_pair.json"],
         ["smti", "--input", "float_tie_start.json"],
         ["smti", "--input", "float_n.json"],
@@ -614,3 +640,45 @@ def test_dp_window_below_group_size_exits_2(tmp_path, capsys, window):
     code, out = invoke(["--json", "solve", "--input", str(path), "--algo", "dp"] + window)
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_solve_witness_bytes_match_the_reference_sorts(tmp_path):
+    """The payload and the witness of a 3,000-agent shuffled ranking are
+    the bytes that the whole-group sorts give, with names that sort
+    differently from their indices."""
+    rng = random.Random(2028)
+    n, d = 3_000, 3
+    names = unsorted_names(rng, n)
+    source = {"type": "master_poset", "ranking": rng.sample(names, n), "tiebreak": "canonical"}
+    path, witness = tmp_path / "chain.json", tmp_path / "witness.json"
+    path.write_text(json.dumps({"version": "1", "d": d, "agents": names, "source": source}))
+    code, out = invoke(["--json", "solve", "--input", str(path), "--witness", str(witness)])
+    inst = parse_instance(path.read_text())
+    groups = reference_named_groups(inst, reference_lpo_blocks(inst))
+    payload = {"verdict": "STABLE", "algo": "strict", "groups": groups, "validated": True}
+    doc = {"version": "1", "groups": groups}
+    assert code == 0
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+    expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert witness.read_bytes() == expected.encode("utf-8")
+
+
+def test_solve_releases_the_instance_before_encoding(tmp_path, monkeypatch):
+    """mdsr solve keeps only the named groups: the Instance is gone by the
+    time the witness is encoded."""
+    path = write_instance(tmp_path, chain_instance(9, 3))
+    instances, dead = [], []
+
+    def spy_named_groups(instance, matching):
+        instances.append(weakref.ref(instance))
+        return named_groups(instance, matching)
+
+    def spy_serialize_groups(groups):
+        dead.extend(ref() is None for ref in instances)
+        return serialize_groups(groups)
+
+    monkeypatch.setattr(mdsr.cli, "named_groups", spy_named_groups)
+    monkeypatch.setattr(mdsr.cli, "serialize_groups", spy_serialize_groups)
+    code, _ = invoke(["--json", "solve", "--input", path, "--witness", str(tmp_path / "w.json")])
+    assert code == 0
+    assert dead == [True]

@@ -31,6 +31,7 @@ from util import (
     random_complete_instance,
     random_completion_instance,
     random_poset,
+    reference_lpo_blocks,
 )
 
 
@@ -283,3 +284,15 @@ def test_rank_key_unacceptable_set():
     )
     with pytest.raises(UnacceptableSet):
         partial.rank_key(0, (1, 3))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_lpo_blocks_match_the_whole_tuple_sort(d):
+    """Blocks sorted by first member equal blocks sorted as whole tuples,
+    on shuffled rankings with n mod d agents left over."""
+    rng = random.Random(d)
+    for _ in range(30):
+        n = d * rng.randint(1, 40) + rng.randint(1, d - 1)
+        ranking = rng.sample(range(n), n)
+        inst = Instance.master_poset(d, [f"a{i}" for i in range(n)], Poset.from_ranking(ranking))
+        assert inst.lpo_blocks() == reference_lpo_blocks(inst)

@@ -16,7 +16,7 @@ from mdsr import (
 )
 from mdsr.core import MasterPoset, to_indices
 from mdsr.errors import ParseError, ValidationError
-from mdsr.io import parse_marriage, parse_smti_document, serialize_marriage
+from mdsr.io import named_groups, parse_marriage, parse_smti_document, serialize_marriage
 
 from util import (
     chain_instance,
@@ -24,9 +24,12 @@ from util import (
     nostable_poset_instance,
     random_complete_instance,
     random_completion_instance,
+    random_matching,
     random_poset,
     reference_parse_instance,
+    reference_named_groups,
     reference_to_indices,
+    unsorted_names,
 )
 
 
@@ -296,3 +299,15 @@ def test_to_indices_matches_the_per_entry_reference():
             assert _decoded(to_indices, index, entries, ordered) == want, (entries, ordered)
             if isinstance(entries, list):  # a one-shot iterator gives the same
                 assert _decoded(to_indices, index, iter(entries), ordered) == want
+
+
+def test_named_groups_match_the_whole_list_sort():
+    """Groups ordered by first name equal groups sorted as whole name
+    lists, where names sort differently from their indices."""
+    rng = random.Random(28)
+    for _ in range(60):
+        d = rng.randint(2, 5)
+        n = rng.randint(d, 80)
+        inst = Instance.master_poset(d, unsorted_names(rng, n), Poset.from_ranking(range(n)))
+        m = random_matching(rng, n, d)
+        assert named_groups(inst, m) == reference_named_groups(inst, m)

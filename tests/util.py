@@ -941,3 +941,23 @@ def reference_parse_instance(text: str) -> Instance:
             acc = tuple(frozenset(lst) for lst in per_agent(acc))
         return Instance(d, names, MasterPoset(poset, completion), acc)
     raise ParseError(f"unknown source type {kind!r}")
+
+
+# Instance.lpo_blocks and io.named_groups as they stood before their sorts
+# went by first member: whole tuples and whole name lists compared.  Kept as
+# the references for the differential tests.
+def reference_lpo_blocks(instance: Instance) -> Matching:
+    order, d = instance.lpo().order, instance.d
+    return normalize_matching(order[i : i + d] for i in range(0, instance.n - d + 1, d))
+
+
+def reference_named_groups(instance: Instance, m) -> list:
+    return sorted(sorted(instance.names[a] for a in g) for g in m)
+
+
+def unsorted_names(rng: random.Random, n: int) -> list:
+    """n distinct names, shuffled, whose string order differs from the
+    numeric one (a9 after a10), of mixed lengths, some not ASCII."""
+    names = [rng.choice(("a", "b", "ab", "é", "Ω", "名")) + str(i) for i in range(n)]
+    rng.shuffle(names)
+    return names

@@ -12,7 +12,7 @@ from functools import cache
 from typing import Optional
 
 from .core import MasterPoset
-from .errors import MdsrError, ParseError, TooLarge, ValidationError
+from .errors import MdsrError, ParseError, TooLarge
 from .io import (
     named_groups,
     parse_instance,
@@ -291,7 +291,7 @@ def run(argv, out=None) -> int:
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValidationError, MdsrError) as exc:
+    except MdsrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -161,7 +161,6 @@ class Instance:
         # The per-agent lists: explicit ones or a poset's completion, else None.
         self.lists = getattr(source, "lists", getattr(source, "completion", None))
         self._lpo: Optional[LpoOrder] = None
-        self._key = None  # the rank oracle, resolved on first use
         self._validate()
 
     # -- construction -----------------------------------------------------
@@ -335,14 +334,11 @@ class Instance:
 
     # -- the preference oracle --------------------------------------------
 
-    def rank_key(self, a: int, t: TupleSet) -> int:
-        """Agent a's integer rank of t; smaller = preferred."""
-        if self._key is None:
-            self._key = self._rank_oracle()
-        return self._key(a, t)
-
-    def _rank_oracle(self):
-        """The integer key function for this source, dispatched once."""
+    @cached_property
+    def rank_key(self):
+        """rank_key(a, t) is agent a's integer rank of t; smaller = preferred.
+        The function is built once for the source from its tables alone, so
+        it holds no reference to the instance."""
         src = self.source
         if isinstance(src, MasterListSets):
             master = src.rank
@@ -350,13 +346,14 @@ class Instance:
         if self.is_canonical:
             pos, n = self.lpo().position, self.n
             return lambda a, t: position_key(sorted(map(pos.__getitem__, t)), n)
-        rank_of = cache(lambda a: {t: i for i, t in enumerate(self.lists[a])})
+        lists, names = self.lists, self.names
+        rank_of = cache(lambda a: {t: i for i, t in enumerate(lists[a])})
 
         def listed(a, t):
             try:
                 return rank_of(a)[t]
             except KeyError:
-                raise UnacceptableSet(f"{t} not in list of {self.names[a]}") from None
+                raise UnacceptableSet(f"{t} not in list of {names[a]}") from None
 
         return listed
 
@@ -506,11 +503,11 @@ def matching_violations(instance: Instance, m: Matching) -> list[str]:
     return problems
 
 
-def materialize_explicit(instance: Instance, limit: int = 10**5) -> Instance:
+def materialize_explicit(instance: Instance) -> Instance:
     """An equivalent instance with explicit per-agent lists: each agent's
-    candidate sets in rank_key order."""
+    candidate sets in rank_key order, at most 10**5 per agent."""
     n, d = instance.n, instance.d
-    if comb(n - 1, d - 1) > limit:
+    if comb(n - 1, d - 1) > 10**5:
         raise TooLarge("instance too large to materialize explicit lists")
     lists = tuple(
         tuple(sorted(instance.acceptable_sets(a), key=partial(instance.rank_key, a)))

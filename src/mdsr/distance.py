@@ -9,7 +9,7 @@ from typing import Optional
 
 from .core import Instance, _swaps, is_derived_from_poset, materialize_explicit
 from .errors import BudgetExceeded, TooLarge, ValidationError
-from .poset import Poset, lpo_order
+from .poset import Poset
 
 
 def recover_strict_order(instance: Instance, agents=None) -> Optional[Poset]:
@@ -32,12 +32,12 @@ def recover_strict_order(instance: Instance, agents=None) -> Optional[Poset]:
     for a in agents:
         pairs.update(_swaps([t for t in lists[a] if keep.issuperset(t)], pools))
     try:
-        lpo = lpo_order(Poset.from_pairs(pairs, instance.n))
+        order = Poset.from_pairs(pairs, instance.n).order
     except ValidationError:
         return None
     # Agents outside keep have no pairs and leave the extraction in index
     # order; the candidate ranks them last.
-    candidate = Poset.from_ranking(sorted(lpo.order, key=lambda v: v not in keep))
+    candidate = Poset.from_ranking(sorted(order, key=lambda v: v not in keep))
     if is_derived_from_poset(instance, candidate, keep):
         return candidate
     return None

@@ -50,7 +50,7 @@ def serialize_instance(instance: Instance) -> str:
     else:
         source = {"type": "master_poset"}
         if src.poset.is_ranking:
-            source["ranking"] = _names_of(instance, src.poset.ranking)
+            source["ranking"] = _names_of(instance, src.poset.order)
         else:
             source["pairs"] = [_names_of(instance, p) for p in src.poset.source_pairs]
         source["tiebreak"] = "canonical" if src.completion is None else "explicit"

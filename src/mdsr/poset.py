@@ -1,8 +1,8 @@
 """Strict partial orders over agents and the parameters computed from them.
 
-Agents are dense 0-based integer indices.  A poset is stored either as a
-ranking with its rank array (cheap even for millions of agents) or, when
-built from comparison pairs, as closure bitmasks: n*n/8 bytes per direction.
+Agents are dense 0-based integer indices.  Every poset keeps its lpo order
+and positions: a ranking is its own order (cheap even for millions of agents),
+and a poset built from pairs adds closure bitmasks, n*n/8 bytes per direction.
 """
 
 from __future__ import annotations
@@ -15,16 +15,17 @@ from .errors import CycleDetected, DuplicateContradiction, ValidationError
 
 
 class Poset:
-    """A strict partial order over agents 0..n-1, transitively closed: a
-    ranking and its rank array, or bit v of _gt[u] and bit u of _lt[v] set iff u > v."""
+    """A strict partial order over agents 0..n-1, transitively closed, with
+    its lpo order and order positions: a ranking when _gt is None, else bit
+    v of _gt[u] and bit u of _lt[v] set iff u > v."""
 
-    __slots__ = ("n", "source_pairs", "ranking", "_rank", "_gt", "_lt")
+    __slots__ = ("n", "source_pairs", "order", "position", "_gt", "_lt")
 
-    def __init__(self, n, ranking=None, rank=None, gt=None, lt=None, source_pairs=()):
+    def __init__(self, n, order, position, gt=None, lt=None, source_pairs=()):
         self.n = n
         self.source_pairs = tuple(source_pairs)
-        self.ranking = ranking
-        self._rank = rank
+        self.order = order
+        self.position = position
         self._gt = gt
         self._lt = lt
 
@@ -41,11 +42,11 @@ class Poset:
             rank = None
         if rank is None or -1 in rank or min(ranking, default=0) < 0:
             raise ValidationError("ranking must be a permutation of 0..n-1")
-        return cls(len(ranking), ranking=ranking, rank=tuple(rank))
+        return cls(len(ranking), ranking, tuple(rank))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], n: int) -> "Poset":
-        """Build the transitive closure of the given strict pairs.
+        """Build the transitive closure and the lpo order of the given strict pairs.
 
         Rejects directly contradictory pairs and any cycle the closure implies.
         """
@@ -63,25 +64,26 @@ class Poset:
         if len(order) < n:
             v = min(set(range(n)).difference(order))
             raise CycleDetected(f"pairs imply a cycle through or above agent {v}")
-        gt, lt = [0] * n, [0] * n
-        for u in order:
+        gt, lt, pos = [0] * n, [0] * n, [0] * n
+        for p, u in enumerate(order):
+            pos[u] = p
             for v in succ[u]:
                 lt[v] |= lt[u] | 1 << u
         for u in reversed(order):
             for v in succ[u]:
                 gt[u] |= gt[v] | 1 << v
-        return cls(n, gt=gt, lt=lt, source_pairs=direct)
+        return cls(n, tuple(order), tuple(pos), gt, lt, direct)
 
     @property
     def is_ranking(self) -> bool:
-        return self.ranking is not None
+        return self._gt is None
 
     def greater(self, u: int, v: int) -> bool:
         """True iff u > v (u strictly better than v)."""
         if u == v:
             return False
-        if self._rank is not None:
-            return self._rank[u] < self._rank[v]
+        if self._gt is None:
+            return self.position[u] < self.position[v]
         return bool(self._gt[u] >> v & 1)
 
     def geq(self, u: int, v: int) -> bool:
@@ -92,13 +94,13 @@ class Poset:
 
     def kappa_of(self, v: int) -> int:
         """Number of agents incomparable with v."""
-        if self._rank is not None:
+        if self._gt is None:
             return 0
         return self.n - 1 - self._gt[v].bit_count() - self._lt[v].bit_count()
 
     def kappa(self) -> int:
         """Maximum over agents of the incomparable-agent count."""
-        if self.n <= 1 or self._rank is not None:
+        if self.n <= 1 or self._gt is None:
             return 0
         return max(self.kappa_of(v) for v in range(self.n))
 
@@ -112,11 +114,13 @@ class Poset:
         n = self.n
         if n == 0:
             return 0
-        if self._rank is not None:
+        if self._gt is None:
             return 1
-        order, succ = _extract(self.source_pairs, n)
+        succ = [[] for _ in range(n)]
+        for u, v in self.source_pairs:
+            succ[u].append(v)
         match, mate = [-1] * n, [-1] * n
-        for u in order:
+        for u in self.order:
             v = next((v for v in succ[u] if match[v] < 0), -1)
             if v >= 0:
                 match[v], mate[u] = u, v
@@ -124,14 +128,15 @@ class Poset:
 
     def successors(self, v: int):
         """All agents strictly below v."""
-        if self._rank is not None:
-            return sorted(self.ranking[self._rank[v] + 1 :])
+        if self._gt is None:
+            return sorted(self.order[self.position[v] + 1 :])
         return [u for u, bit in enumerate(bin(self._gt[v])[:1:-1]) if bit == "1"]
 
 
 def _extract(pairs: Iterable[tuple[int, int]], n: int):
     """Extract the smallest-index agent no unextracted agent is directly
-    above, while one exists; return the extracted agents and successors."""
+    above, while one exists; return the extracted agents and successors.
+    That agent is below no unextracted one, so the order is an lpo order."""
     succ = [[] for _ in range(n)]
     indeg = [0] * n
     for u, v in pairs:
@@ -161,19 +166,9 @@ class LpoOrder:
 
 
 def lpo_order(poset: Poset) -> LpoOrder:
-    """Greedy extraction of an order where no later agent beats an earlier one.
-
-    At each step the smallest-index agent not strictly below any remaining
-    agent is extracted; such an agent always exists in a poset, and it is
-    the same agent when only the direct pairs are considered.
-    """
-    if poset.is_ranking:
-        return LpoOrder(poset.ranking, poset._rank, 0)
-    order, _ = _extract(poset.source_pairs, poset.n)
-    pos = [0] * poset.n
-    for p, v in enumerate(order):
-        pos[v] = p
-    return LpoOrder(tuple(order), tuple(pos), poset.kappa())
+    """The poset's order, where no later agent beats an earlier one, with
+    its positions and kappa."""
+    return LpoOrder(poset.order, poset.position, poset.kappa())
 
 
 def verify_lpo(order: Sequence[int], poset: Poset) -> bool:
@@ -181,7 +176,7 @@ def verify_lpo(order: Sequence[int], poset: Poset) -> bool:
     the 2*kappa distance condition follows (see LpoOrder)."""
     if poset.is_ranking:
         # kappa = 0: every later agent must be below, so order is the ranking.
-        return tuple(order) == poset.ranking
+        return tuple(order) == poset.order
     if sorted(order) != list(range(poset.n)):
         return False
     later = 0  # the agents after v

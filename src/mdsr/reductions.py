@@ -80,8 +80,8 @@ class OneInThreeFormula:
         true_vars = set(true_vars)
         return all(len(true_vars.intersection(c)) == 1 for c in self.clauses)
 
-    def solutions(self, guard: int = 22) -> Iterator[frozenset[int]]:
-        if self.n_vars > guard:
+    def solutions(self) -> Iterator[frozenset[int]]:
+        if self.n_vars > 22:
             raise TooLarge(f"{self.n_vars} variables exceed the search guard")
         for bits in product((False, True), repeat=self.n_vars):
             true_vars = frozenset(

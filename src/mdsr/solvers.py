@@ -24,6 +24,7 @@ from .errors import (
     NotStrictOrder,
     PreconditionViolated,
 )
+from .poset import LpoOrder
 from .stability import find_blocking
 
 
@@ -43,9 +44,14 @@ def default_window(kappa: int, d: int) -> int:
     return 2 * d * (d - 1) * group_span_bound(kappa, d)
 
 
-def _require_poset(instance: Instance) -> None:
+def _complete_lpo(instance: Instance) -> LpoOrder:
+    """The lpo order of a master poset with complete preferences; raises
+    NotStrictOrder on another source, else IncompletePreferences if incomplete."""
     if not isinstance(instance.source, MasterPoset):
         raise NotStrictOrder("a master-poset source is required")
+    if not instance.is_complete:
+        raise IncompletePreferences("complete preferences are required")
+    return instance.lpo()
 
 
 def _blocked_by(instance: Instance, group) -> str:  # by agent names, as mdsr check
@@ -54,8 +60,9 @@ def _blocked_by(instance: Instance, group) -> str:  # by agent names, as mdsr ch
 
 def strict_order_solve(instance: Instance) -> Matching:
     """The unique stable matching, the lpo blocks, of a complete canonical
-    master poset (any kappa) or a completion of a strict order; raises
-    NotStrictOrder on a completion of a poset with kappa > 0.
+    master poset (any kappa) or a completion of a strict order; beyond
+    _complete_lpo, raises NotStrictOrder on a completion of a poset with
+    kappa > 0.
 
     In lpo positions, if t lies pointwise at or below t' != t, every agent
     ranks t above t': the canonical key is lexicographic, and in a strict
@@ -67,11 +74,8 @@ def strict_order_solve(instance: Instance) -> Matching:
     the first block holds its first choice, and any matching without that
     block is blocked by it.  Remove the block and repeat.
     """
-    _require_poset(instance)
-    if instance.lpo().kappa and not instance.is_canonical:
+    if _complete_lpo(instance).kappa and not instance.is_canonical:
         raise NotStrictOrder("the completion is of a poset with incomparable agents")
-    if not instance.is_complete:
-        raise IncompletePreferences("complete preferences are required")
     return instance.lpo_blocks()
 
 
@@ -102,10 +106,7 @@ def greedy_big_d_solve(instance: Instance) -> GreedyResult:
     touch it.  Each step records that multiplicity as its certificate,
     and the matching is checked with find_blocking before it is returned.
     """
-    _require_poset(instance)
-    if not instance.is_complete:
-        raise IncompletePreferences("complete preferences are required")
-    lpo = instance.lpo()
+    lpo = _complete_lpo(instance)
     kappa, d = lpo.kappa, instance.d
     if not _greedy_applies(kappa, d):
         raise PreconditionViolated(
@@ -165,11 +166,8 @@ def fpt_dp_solve(
     positions behind r, or r = n-1; a d-set of settled positions is
     checked for blocking once, at the step its last member settles.
     """
-    _require_poset(instance)
-    if not instance.is_complete:
-        raise IncompletePreferences("complete preferences are required")
+    kappa = _complete_lpo(instance).kappa
     n, d = instance.n, instance.d
-    kappa = instance.lpo().kappa
     s = span if span is not None else group_span_bound(kappa, d)
     k = window_size if window_size is not None else default_window(kappa, d)
     if min(k, s) < d - 1:

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import random
@@ -682,3 +683,32 @@ def test_solve_releases_the_instance_before_encoding(tmp_path, monkeypatch):
     code, _ = invoke(["--json", "solve", "--input", path, "--witness", str(tmp_path / "w.json")])
     assert code == 0
     assert dead == [True]
+
+
+@pytest.mark.parametrize("kind", ["explicit", "completion"])
+def test_solve_frees_list_instances_without_the_cyclic_collector(tmp_path, monkeypatch, kind):
+    """The rank oracle of explicit lists and completions holds no reference
+    to its instance, so with the cyclic collector off the instance dies as
+    soon as mdsr solve has named the groups."""
+    if kind == "explicit":
+        inst = intro_instance()
+    else:
+        rng = random.Random(3)
+        inst = random_completion_instance(rng, 6, 3, random_poset(rng, 6))
+    path = write_instance(tmp_path, inst)
+    del inst
+    instances = []
+
+    def spy_named_groups(instance, matching):
+        instances.append(weakref.ref(instance))
+        return named_groups(instance, matching)
+
+    monkeypatch.setattr(mdsr.cli, "named_groups", spy_named_groups)
+    gc.disable()
+    try:
+        code, _ = invoke(["--json", "solve", "--input", path])
+        alive = [ref() is not None for ref in instances]
+    finally:
+        gc.enable()
+    assert code == 0
+    assert alive == [False]

@@ -201,7 +201,7 @@ def _source_key(inst: Instance):
     src = inst.source
     if isinstance(src, MasterPoset):
         p = src.poset
-        return (p.n, p._rank, p.source_pairs, p._gt, src.completion)
+        return (p.n, p.order, p.position, p.source_pairs, p._gt, src.completion)
     return src
 
 

@@ -12,6 +12,7 @@ from util import (
     random_poset,
     reference_closure,
     reference_kappa_of,
+    reference_lpo_order,
     reference_ranking_accepted,
     reference_verify_lpo,
 )
@@ -237,3 +238,42 @@ def test_large_shuffled_chain_and_ladder(levels):
     assert verify_lpo(lpo.order, p)
     assert p.width() == levels
     assert time.perf_counter() - start < 5
+
+
+def test_ranking_and_its_chain_pairs_agree():
+    """A ranking and the poset of its consecutive pairs are the same order:
+    the ranking's fast paths give what the closure bitmasks give."""
+    rng = random.Random(29)
+    for n in [0, 1, 2] + [rng.randint(3, 12) for _ in range(40)]:
+        r = rng.sample(range(n), n)
+        a = Poset.from_ranking(r)
+        b = Poset.from_pairs(list(zip(r, r[1:])), n)
+        assert a.is_ranking and not b.is_ranking
+        assert a.order == b.order == tuple(r)
+        assert a.position == b.position
+        assert a.kappa() == b.kappa() == 0 and a.width() == b.width() == min(n, 1)
+        assert lpo_order(a) == lpo_order(b)
+        for u in range(n):
+            assert a.kappa_of(u) == b.kappa_of(u) == 0
+            assert a.successors(u) == b.successors(u)
+            for v in range(n):
+                for rel in ("greater", "geq", "incomparable"):
+                    assert getattr(a, rel)(u, v) == getattr(b, rel)(u, v)
+        for order in [r, r[::-1], rng.sample(r, n), r[:-1]]:
+            assert verify_lpo(order, a) == verify_lpo(order, b) == (order == r)
+
+
+def test_lpo_order_is_the_reference_extraction():
+    """A pair poset keeps the order that extraction gives, and lpo_order
+    reads it."""
+    rng = random.Random(30)
+    for _ in range(100):
+        n = rng.randint(0, 15)
+        perm = rng.sample(range(n), n)
+        p = rng.uniform(0.05, 0.8)
+        pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        poset = Poset.from_pairs(pairs, n)
+        lpo = lpo_order(poset)
+        assert lpo.order == poset.order == reference_lpo_order(pairs, n)
+        assert [lpo.position[v] for v in lpo.order] == list(range(n))
+        assert lpo.kappa == poset.kappa()

@@ -380,3 +380,54 @@ def test_canonical_ladder_solves_by_lpo_blocks(tmp_path):
     assert (solved["verdict"], solved["algo"]) == ("STABLE", "strict")
     checked = _cli_json(["check", "--instance", str(small), "--matching", str(witness)])
     assert checked["verdict"] == "STABLE"
+
+
+def _refusal_input(kind: str) -> Instance:
+    """An instance outside the solvers' precondition, a master poset with
+    complete preferences."""
+    names = list("abcd")
+    if kind == "master-list":
+        return Instance.master_list(3, list("abcdef"), [list(t) for t in INTRO_MASTER])
+    if kind == "explicit":
+        return intro_instance()
+    if kind == "incomplete-ranking":
+        ranking = Poset.from_ranking([0, 1, 2, 3])
+        return Instance.master_poset(3, names, ranking, acceptability={"a": [["b", "c"]]})
+    # an incomplete completion of a kappa = 3 poset
+    poset = Poset.from_pairs([(0, 1)], 4)
+    return Instance.master_poset(
+        2, names, poset, completion={"a": [["b"]]}, acceptability={"a": [["b"]]}
+    )
+
+
+NOT_A_POSET = (NotStrictOrder, "a master-poset source is required")
+INCOMPLETE = (IncompletePreferences, "complete preferences are required")
+REFUSALS = {
+    "master-list": NOT_A_POSET,
+    "explicit": NOT_A_POSET,
+    "incomplete-ranking": INCOMPLETE,
+    "incomplete-completion": INCOMPLETE,
+}
+
+
+@pytest.mark.parametrize("solve", [strict_order_solve, greedy_big_d_solve, fpt_dp_solve])
+@pytest.mark.parametrize("kind", list(REFUSALS))
+def test_solvers_refuse_alike_outside_complete_master_posets(solve, kind):
+    """Each solver checks the source first, then completeness: an
+    incomplete completion of a kappa > 0 poset is refused as incomplete,
+    by strict_order_solve too."""
+    inst = _refusal_input(kind)
+    assert kind != "incomplete-completion" or inst.lpo().kappa == 3
+    error, message = REFUSALS[kind]
+    with pytest.raises(error) as got:
+        solve(inst)
+    assert type(got.value) is error and str(got.value) == message
+
+
+def test_strict_cli_refuses_an_incomplete_completion_as_incomplete(tmp_path, capsys):
+    path = tmp_path / "partial.json"
+    path.write_text(serialize_instance(_refusal_input("incomplete-completion")))
+    out = io.StringIO()
+    code = run(["--json", "solve", "--input", str(path), "--algo", "strict"], out)
+    assert (code, out.getvalue()) == (2, "")
+    assert capsys.readouterr().err == "error: complete preferences are required\n"

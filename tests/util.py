@@ -252,6 +252,20 @@ def reference_verify_lpo(order, gt: list[set]) -> bool:
     return True
 
 
+def reference_lpo_order(pairs, n: int) -> tuple:
+    """The lpo order by the extraction rule, in plain set scans: repeatedly
+    the smallest-index remaining agent that no remaining agent is directly
+    above."""
+    above = [set() for _ in range(n)]
+    for u, v in pairs:
+        above[v].add(u)
+    left, order = set(range(n)), []
+    while left:
+        order.append(min(v for v in left if not above[v] & left))
+        left.discard(order[-1])
+    return tuple(order)
+
+
 def plain_find_blocking(instance: Instance, m):
     """The least blocking group by the plain scan: is_blocking over every
     group in index order (the acceptable groups when incomplete)."""

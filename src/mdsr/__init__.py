@@ -7,7 +7,6 @@ from .core import (
     MasterListSets,
     MasterPoset,
     dominates,
-    is_derived_from_master_list,
     is_derived_from_poset,
     materialize_explicit,
     matching_violations,

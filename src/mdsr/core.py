@@ -388,30 +388,7 @@ class Instance:
         return best
 
 
-# -- derivation checks ----------------------------------------------------
-
-
-def is_derived_from_master_list(
-    instance: Instance,
-    master: Optional[Sequence[TupleSet]] = None,
-    agents: Optional[Iterable[int]] = None,
-) -> bool:
-    """True iff each agent's list equals the master list with the sets
-    containing the agent deleted."""
-    if master is None:
-        if isinstance(instance.source, MasterListSets):
-            return True
-        raise ValidationError("a candidate master list is required")
-    lists = instance.lists
-    if lists is None:
-        raise ValidationError("explicit per-agent lists are required")
-    master = [tuple(t) for t in master]
-    check = range(instance.n) if agents is None else agents
-    for a in check:
-        expected = tuple(t for t in master if a not in t)
-        if lists[a] != expected:
-            return False
-    return True
+# -- derivation check -----------------------------------------------------
 
 
 def _swaps(lst: Sequence[TupleSet], pools: Mapping[int, Sequence[int]]):

@@ -14,7 +14,6 @@ from typing import Iterable, Iterator
 
 from .core import Instance, Matching, normalize_matching
 from .errors import MalformedSmti, NotPerfect, NotStable, NotWellFormed
-from .poset import Poset
 
 # ---------------------------------------------------------------------------
 # The two gadgets, exposed standalone for direct inspection.
@@ -217,27 +216,6 @@ class SmtiReduction:
 
     smti: SmtiInstance
     instance: Instance
-    master_order: Poset
-
-
-def _smti_names(smti: SmtiInstance) -> list[str]:
-    """The agent names in master order."""
-    n = smti.n
-    ties_of = [smti.man_ties(i) for i in range(n)]
-    gadgets = sorted((i, j) for i in range(n) for j in ties_of[i])
-    names = [f"d{p}[{i + 1},{j + 1}]" for i, j in gadgets for p in range(1, 9)]
-    names += [f"a[{i + 1}]" for i in range(n)]
-    names += [f"b[{j + 1}]" for j in range(n)]
-    for j in range(n):
-        for i, ties in enumerate(ties_of):
-            if j in ties:
-                names.append(f"c[{i + 1},{j + 1}]")
-                names.append(f"c[{i + 1},{j + 2}]")
-                names.append(f"cp[{i + 1},{j + 1}]")
-            elif (i, j) in smti.acceptable and j - 1 not in ties:
-                names.append(f"c[{i + 1},{j + 1}]")
-    names += [f"x{q}[{i + 1}]" for i in range(n) for q in range(2, 7)]
-    return names
 
 
 def _roles(i: int, j: int) -> dict:
@@ -270,6 +248,34 @@ _TIE_TAKEN = (("D1", "D2", "D8"), ("D3", "D4", "D5"))
 _TIE_FREE = (("C", "D5", "D8"), ("D2", "D3", "D7"), ("D1", "D4", "D6"))
 
 
+def _gadgets(smti: SmtiInstance) -> Iterator[tuple[int, int, tuple]]:
+    """(i, j, gadget) for man i and woman j, by man and then by woman: the
+    tie gadget where one of his ties starts at j, else the edge gadget
+    where he accepts j and j is not the second woman of one of his ties."""
+    for i in range(smti.n):
+        ties = smti.man_ties(i)
+        for j in range(smti.n):
+            if j in ties:
+                yield i, j, _TIE
+            elif (i, j) in smti.acceptable and j - 1 not in ties:
+                yield i, j, _EDGE
+
+
+def _smti_names(smti: SmtiInstance) -> list[str]:
+    """The agent names in master order: the d agents by (man, woman), the
+    a and b agents, the c and cp agents by woman and then man, the x agents."""
+    n, placed = smti.n, list(_gadgets(smti))
+    names = [f"d{p}[{i + 1},{j + 1}]" for i, j, g in placed if g is _TIE for p in range(1, 9)]
+    names += [f"a[{i + 1}]" for i in range(n)]
+    names += [f"b[{j + 1}]" for j in range(n)]
+    for i, j, g in sorted(placed, key=lambda t: (t[1], t[0])):
+        names.append(f"c[{i + 1},{j + 1}]")
+        if g is _TIE:
+            names += [f"c[{i + 1},{j + 2}]", f"cp[{i + 1},{j + 1}]"]
+    names += [f"x{q}[{i + 1}]" for i in range(n) for q in range(2, 7)]
+    return names
+
+
 def smti_reduce(smti: SmtiInstance) -> SmtiReduction:
     names = _smti_names(smti)
     triples: dict[tuple[str, ...], None] = {}
@@ -283,16 +289,11 @@ def smti_reduce(smti: SmtiInstance) -> SmtiReduction:
 
     # Keys only need to order the pairs within one agent's list: per man,
     # his tie and edge gadgets by woman, then his cut-off gadget.
+    for i, j, gadget in _gadgets(smti):
+        embed(gadget, _roles(i, j), (i, 1, j))
     for i in range(smti.n):
-        ties = smti.man_ties(i)
-        for j in range(smti.n):
-            if j in ties:
-                embed(_TIE, _roles(i, j), (i, 1, j))
-            elif (i, j) in smti.acceptable and j - 1 not in ties:
-                embed(_EDGE, _roles(i, j), (i, 1, j))
         embed(_CUTOFF, _roles(i, 0), (i, 2, 0))
-    instance = _explicit_from_triples(names, triples, pair_key)
-    return SmtiReduction(smti, instance, Poset.from_ranking(list(range(len(names)))))
+    return SmtiReduction(smti, _explicit_from_triples(names, triples, pair_key))
 
 
 def smti_forward(reduction: SmtiReduction, matching: dict) -> Matching:

@@ -157,8 +157,10 @@ def fpt_dp_solve(
     the sliding program; it is exact whenever the window is at least the
     theoretical bound.  It returns the first accepting matching that
     find_blocking clears; when every one is blocked, CertificateFailure
-    names the first one's blocking group.  A window or span below d - 1
-    leaves no room for a group and raises PreconditionViolated.
+    names the first one's blocking group.  Below the bound, no accepting
+    state proves nothing: the exact search answers up to max_n agents,
+    and PreconditionViolated is raised above it.  A window or span below
+    d - 1 leaves no room for a group and raises PreconditionViolated.
 
     The program reveals one order position r per step, r = 0..n-1, and
     may close a group ending at r whose members lie within span positions
@@ -178,22 +180,22 @@ def fpt_dp_solve(
         )
     s = min(s, k)
 
-    if window_size is None or k >= n - 1:
-        from .stability import brute_force_solve
+    if window_size is not None and k < n - 1:
+        first = None  # the first accepting matching's blocking report
+        for matching in _sliding_dp(instance, k, s):
+            report = find_blocking(instance, matching)
+            if report is None:
+                return matching
+            first = first or report
+        if first is not None:
+            raise CertificateFailure(
+                f"window {k} too small: returned matching is {_blocked_by(instance, first.group)}"
+            )
+        if n > max_n:
+            raise PreconditionViolated(f"window {k} too small: no accepting state")
+    from .stability import brute_force_solve
 
-        return brute_force_solve(instance, max_n=max_n)
-
-    first = None  # the first accepting matching's blocking report
-    for matching in _sliding_dp(instance, k, s):
-        report = find_blocking(instance, matching)
-        if report is None:
-            return matching
-        first = first or report
-    if first is not None:
-        raise CertificateFailure(
-            f"window {k} too small: returned matching is {_blocked_by(instance, first.group)}"
-        )
-    return None
+    return brute_force_solve(instance, max_n=max_n)
 
 
 def _sliding_dp(instance: Instance, k: int, s: int) -> Iterator[Matching]:

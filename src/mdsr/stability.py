@@ -25,6 +25,7 @@ in lexicographic order, so brute_force_solve stops at the first.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, inf
@@ -127,18 +128,13 @@ def _master_list_blocked(key, order, cur) -> bool:
 
 
 def _acceptable_groups(instance: Instance) -> list[Group]:
-    """All groups acceptable to every member, in lexicographic order."""
-    groups = set()
-    for a in range(instance.n):
-        for t in instance.acceptable_sets(a):
-            groups.add(tupleset(t + (a,)))
-    return sorted(
-        g
-        for g in groups
-        if all(
-            instance.acceptable(a, tupleset(x for x in g if x != a)) for a in g
-        )
+    """All groups acceptable to every member, in lexicographic order.
+    Member a of g yields g exactly once iff g - a is in X_a, so g is
+    acceptable to all its members iff it is yielded d times."""
+    yielded = Counter(
+        tupleset(t + (a,)) for a in range(instance.n) for t in instance.acceptable_sets(a)
     )
+    return sorted(g for g, count in yielded.items() if count == instance.d)
 
 
 def _candidate_groups(instance: Instance) -> Iterable[Group]:

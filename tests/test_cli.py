@@ -26,6 +26,7 @@ from mdsr.io import named_groups, serialize_groups
 from util import (
     chain_instance,
     intro_instance,
+    no_accepting_state_instance,
     nostable_poset_instance,
     random_complete_instance,
     random_completion_instance,
@@ -211,6 +212,19 @@ def test_forced_window_blocked_matching_exits_2(tmp_path, capsys):
     assert "blocked by {a5,a6,a7}" in err
 
 
+def test_forced_window_without_accepting_state_exits_2(tmp_path, capsys):
+    """With --max-n below n, a window that ends with no accepting state is
+    refused, not answered NO-STABLE; at the default cap the exact search
+    finds the stable matching."""
+    path = write_instance(tmp_path, no_accepting_state_instance())
+    argv = ["--json", "solve", "--input", path, "--algo", "dp", "--window-size", "2", "--span", "2"]
+    code, out = invoke(argv + ["--max-n", "9"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: window 2 too small: no accepting state\n"
+    code, out = invoke(argv)
+    assert code == 0 and json.loads(out)["verdict"] == "STABLE"
+
+
 def _doc(source, agents=("a", "b", "c"), **extra):
     return dict({"version": "1", "d": 2, "agents": list(agents), "source": source}, **extra)
 
@@ -302,6 +316,15 @@ def test_malformed_document_exits_2(tmp_path, capsys, doc):
     code, text = invoke(["stats", "--instance", str(path)])
     assert (code, text) == (2, "")
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_acceptability_on_a_partial_order_exits_2(tmp_path, capsys):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(_doc(PAIRS, acceptability={"a": [["b"]], "b": [["a"]]})))
+    code, out = invoke(["solve", "--input", str(path)])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err == "error: acceptability with a canonical poset needs a strict order\n"
 
 
 @pytest.mark.parametrize(

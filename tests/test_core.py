@@ -6,10 +6,10 @@ import pytest
 import mdsr.core
 
 from mdsr import (
+    Explicit,
     Instance,
     Poset,
     dominates,
-    is_derived_from_master_list,
     is_derived_from_poset,
     materialize_explicit,
     matching_violations,
@@ -28,6 +28,7 @@ from util import (
     INTRO_MASTER,
     chain_instance,
     intro_instance,
+    is_derived_from_master_list,
     random_complete_instance,
     random_completion_instance,
     random_poset,
@@ -63,6 +64,10 @@ def test_prefers_rejects_bad_arguments():
         inst.prefers(a, t, t)
     with pytest.raises(SelfInclusion):
         inst.prefers(a, pairs(inst, "a", "b"), t)
+    # a set outside X_a, on an incomplete instance
+    partial = Instance.explicit(3, list("abcd"), {"a": [["b", "c"], ["b", "d"]], "b": [["a", "c"]]})
+    with pytest.raises(UnacceptableSet, match=r"^\(2, 3\) unacceptable to a$"):
+        partial.prefers(0, (1, 2), (2, 3))
 
 
 def test_prefers_rejects_wrong_size_sets():
@@ -98,6 +103,10 @@ def test_instance_validation():
     with pytest.raises(ValidationError):
         # master list must cover every (d-1)-set exactly once
         Instance.master_list(3, ["a", "b", "c", "d"], [["a", "b"]])
+    with pytest.raises(ValidationError, match="^one preference list per agent required$"):
+        Instance(2, ["a", "b", "c"], Explicit((((1,), (2,)), ((0,), (2,)))))
+    with pytest.raises(ValidationError, match="^poset size differs from agent count$"):
+        Instance.master_poset(2, ["a", "b", "c"], Poset.from_ranking([0, 1]))
 
 
 def test_completeness_detection():
@@ -116,7 +125,9 @@ def test_master_list_source():
     inst = Instance.master_list(3, names, [list(p) for p in INTRO_MASTER])
     a = inst.index("a")
     assert inst.prefers(a, pairs(inst, "b", "c"), pairs(inst, "b", "d"))
-    assert is_derived_from_master_list(inst)
+    assert is_derived_from_master_list(materialize_explicit(inst), inst.source.order)
+    with pytest.raises(ValidationError, match="^lpo order is only defined for poset sources$"):
+        inst.lpo()
 
 
 def test_intro_master_list_derivation():
@@ -249,6 +260,7 @@ def test_matching_violations():
     assert not matching_violations(inst, m2)
     assert matching_violations(inst, ((0, 1), (2, 3, 4)))
     assert matching_violations(inst, ((0, 1, 2), (2, 3, 4)))
+    assert matching_violations(inst, ((0, 1, 6),)) == ["group (0, 1, 6) references unknown agents"]
 
 
 def test_completion_must_respect_poset():

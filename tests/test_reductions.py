@@ -8,7 +8,7 @@ from mdsr import (
     find_blocking,
     instable_instance,
     is_blocking,
-    is_derived_from_master_list,
+    materialize_explicit,
     normalize_matching,
     parse_formula,
     sat_backward_assignment,
@@ -22,9 +22,10 @@ from mdsr.errors import (
     MalformedFormula,
     NotWellFormed,
     ParseError,
+    TooLarge,
 )
 from mdsr.reductions import INSTABLE_MASTER
-from util import reference_sat_reduce
+from util import is_derived_from_master_list, reference_sat_reduce
 
 # every perfect matching of the six agents with a known blocking 3-set
 INSTABLE_TABLE = [
@@ -44,7 +45,7 @@ INSTABLE_TABLE = [
 def test_instable_master_list_shape():
     inst = instable_instance()
     assert inst.n == 6 and inst.d == 3
-    assert is_derived_from_master_list(inst)
+    assert is_derived_from_master_list(materialize_explicit(inst), inst.source.order)
     assert len(INSTABLE_MASTER) == 15
 
 
@@ -83,6 +84,10 @@ def test_formula_validation():
     assert set(f.solutions()) == {
         frozenset({1}), frozenset({2}), frozenset({3}),
     }
+    # 23 variables, each in three cyclic clauses, exceed the search guard
+    big = OneInThreeFormula(23, tuple((v, v % 23 + 1, (v + 1) % 23 + 1) for v in range(1, 24)))
+    with pytest.raises(TooLarge, match="^23 variables exceed the search guard$"):
+        next(big.solutions())
 
 
 def test_parse_formula():
@@ -107,7 +112,7 @@ def test_sat_reduce_shape():
     reduction = sat_reduce(three_clause_formula())
     inst = reduction.instance
     assert inst.n == 2 * 3 + 21 * 3  # 69 agents
-    assert is_derived_from_master_list(inst)
+    assert is_derived_from_master_list(materialize_explicit(inst), inst.source.order)
 
 
 def test_sat_reduce_contains_instable_pattern():

@@ -147,7 +147,7 @@ def test_smti_reduce_1x1_shape():
     assert sorted(inst.names) == sorted(
         ["a[1]", "b[1]", "c[1,1]", "x2[1]", "x3[1]", "x4[1]", "x5[1]", "x6[1]"]
     )
-    assert is_derived_from_poset(inst, reduction.master_order)
+    assert is_derived_from_poset(inst, Poset.from_ranking(range(inst.n)))
 
 
 def test_smti_reduce_tie_adds_gadget_agents():
@@ -157,7 +157,20 @@ def test_smti_reduce_tie_adds_gadget_agents():
     names = set(reduction.instance.names)
     assert "cp[1,1]" in names and "d1[1,1]" in names
     assert "cp[2,1]" not in names and "d1[2,1]" not in names
-    assert is_derived_from_poset(reduction.instance, reduction.master_order)
+    inst = reduction.instance
+    assert is_derived_from_poset(inst, Poset.from_ranking(range(inst.n)))
+
+
+def test_smti_reduce_names_in_master_order():
+    # both men accept both women, tied at woman 1: one tie gadget per man
+    s = SmtiInstance(2, frozenset({0}), all_pairs(2))
+    assert smti_reduce(s).instance.names == [
+        "d1[1,1]", "d2[1,1]", "d3[1,1]", "d4[1,1]", "d5[1,1]", "d6[1,1]", "d7[1,1]", "d8[1,1]",
+        "d1[2,1]", "d2[2,1]", "d3[2,1]", "d4[2,1]", "d5[2,1]", "d6[2,1]", "d7[2,1]", "d8[2,1]",
+        "a[1]", "a[2]", "b[1]", "b[2]",
+        "c[1,1]", "c[1,2]", "cp[1,1]", "c[2,1]", "c[2,2]", "cp[2,1]",
+        "x2[1]", "x3[1]", "x4[1]", "x5[1]", "x6[1]", "x2[2]", "x3[2]", "x4[2]", "x5[2]", "x6[2]",
+    ]
 
 
 def test_smti_forward_backward_1x1():
@@ -236,7 +249,7 @@ def test_smti_round_trip_three_men():
     s = SmtiInstance(3, frozenset({1}), all_pairs(3))
     reduction = smti_reduce(s)
     inst = reduction.instance
-    assert is_derived_from_poset(inst, reduction.master_order)
+    assert is_derived_from_poset(inst, Poset.from_ranking(range(inst.n)))
     count = 0
     for pm in s.perfect_stable_matchings():
         m = smti_forward(reduction, pm)
@@ -289,7 +302,6 @@ def test_smti_reduction_matches_reference():
         new, ref = smti_reduce(s), reference_smti_reduce(s)
         assert new.instance.names == ref.instance.names
         assert serialize_instance(new.instance) == serialize_instance(ref.instance)
-        assert new.master_order.is_ranking and new.master_order.n == new.instance.n
         has_tie = any(s.man_ties(i) for i in range(s.n))
         tied += has_tie
         for pm in s.perfect_stable_matchings():

@@ -38,6 +38,7 @@ from util import (
     chain_instance,
     group_spans_ok,
     intro_instance,
+    no_accepting_state_instance,
     nostable_poset_instance,
     random_completion_instance,
     random_poset,
@@ -254,6 +255,19 @@ def test_dp_refuses_only_when_every_accepting_matching_is_blocked():
     assert len(accepting) == 3 and all(find_blocking(inst, m) for m in accepting)
     with pytest.raises(CertificateFailure, match=r"^window 3 too small: returned matching is blocked by \{a0,a3,a7\}$"):
         fpt_dp_solve(inst, window_size=3, span=3)
+
+
+def test_dp_without_an_accepting_state_searches_exactly():
+    # A window too small to prove NO-STABLE: no state accepts, yet a stable
+    # matching exists, so the exact search answers up to max_n agents and
+    # the DP refuses above it.
+    inst = no_accepting_state_instance()
+    assert list(_sliding_dp(inst, 2, 2)) == []
+    want = ((1, 2, 4), (3, 6, 9), (5, 7, 8))
+    assert brute_force_solve(inst) == want
+    assert fpt_dp_solve(inst, window_size=2, span=2) == want
+    with pytest.raises(PreconditionViolated, match=r"^window 2 too small: no accepting state$"):
+        fpt_dp_solve(inst, window_size=2, span=2, max_n=9)
 
 
 def test_sliding_dp_over_many_window_slides(tmp_path):

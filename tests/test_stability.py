@@ -30,6 +30,7 @@ from util import (
     random_completion_instance,
     random_matching,
     random_poset,
+    reference_acceptable_groups,
     reference_matchings,
     reference_maximal_matchings,
     two_level_instance,
@@ -148,6 +149,16 @@ def test_incomplete_lists_empty_matching_can_be_stable():
     assert ((0, 1),) in stable
 
 
+def test_is_blocking_needs_every_member_to_accept():
+    # c accepts only {a, b}, so {a, b, c} blocks the empty matching; once c
+    # drops it, c refuses the group whatever a and b think
+    lists = {"a": [["b", "c"]], "b": [["a", "c"]], "c": [["a", "b"]]}
+    inst = Instance.explicit(3, list("abcd"), lists)
+    assert is_blocking(inst, (), (0, 1, 2)) is not None
+    inst = Instance.explicit(3, list("abcd"), dict(lists, c=[["a", "d"]]))
+    assert is_blocking(inst, (), (0, 1, 2)) is None
+
+
 def test_brute_force_leaves_low_index_agent_unmatched():
     # ranking b > c > d > a: {b, c, d} is the unique stable matching
     inst = Instance.master_poset(3, list("abcd"), Poset.from_ranking([1, 2, 3, 0]))
@@ -187,13 +198,27 @@ def _random_incomplete_instance(
     return Instance.master_poset(d, names, order, acceptability=acceptable)
 
 
+def test_acceptable_groups_are_the_groups_every_member_accepts():
+    """_acceptable_groups counts yields; its definition asks every member
+    through Instance.acceptable.  Explicit lists and rankings with
+    acceptability, with and without the last d agents cut."""
+    rng = random.Random(31)
+    kinds = set()
+    for i in range(80):
+        d = rng.choice((2, 3, 4))
+        inst = _random_incomplete_instance(rng, rng.randint(d, 9), d, cut_last=i % 2 == 1)
+        kinds.add(type(inst.source).__name__)
+        assert _acceptable_groups(inst) == reference_acceptable_groups(inst), (inst.n, d)
+    assert kinds == {"Explicit", "MasterPoset"}
+
+
 def test_enumerate_stable_incomplete_matches_plain_scan():
     rng = random.Random(8)
     for _ in range(60):
         d = rng.choice((2, 3))
         n = rng.randint(d, 9)
         inst = _random_incomplete_instance(rng, n, d)
-        every = reference_matchings(_acceptable_groups(inst))
+        every = reference_matchings(reference_acceptable_groups(inst))
         stable = [m for m in every if plain_find_blocking(inst, m) is None]
         assert enumerate_stable(inst) == stable, (n, d)
         for m in rng.sample(every, min(len(every), 10)):
@@ -218,7 +243,7 @@ def test_pruned_search_yields_stable_matchings_in_order():
     for i in range(80):
         d = rng.choice((2, 3))
         inst = _random_incomplete_instance(rng, rng.randint(d, 9), d, cut_last=i % 2 == 1)
-        every = reference_matchings(_acceptable_groups(inst))
+        every = reference_matchings(reference_acceptable_groups(inst))
         cases.append((inst, [m for m in every if plain_find_blocking(inst, m) is None]))
     for inst, stable in cases:
         got = list(stability._stable_matchings(inst, max_n=12))

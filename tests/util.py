@@ -35,9 +35,8 @@ from mdsr.smti import (
     TIE_GADGET_TRIPLES,
     SmtiInstance,
     SmtiReduction,
-    _smti_names,
 )
-from mdsr.stability import _acceptable_groups, _partner_map
+from mdsr.stability import _partner_map
 
 # Six-agent instance where d, e, f share a master list but a, b, c deviate;
 # {{a,b,c},{d,e,f}} is blocked by {a,b,d} while {{a,b,d},{c,e,f}} is stable.
@@ -164,6 +163,21 @@ def random_completion_instance(
     return Instance.master_poset(d, names, poset, completion)
 
 
+def no_accepting_state_instance() -> Instance:
+    """A completion on which the sliding DP at window = span = 2 ends with
+    no accepting state, though ((1, 2, 4), (3, 6, 9), (5, 7, 8)) is stable:
+    the 27th n = 10, d = 3 completion of a random_poset(rng, 10, 0.9) with
+    kappa in 1..3, drawn from random.Random(2026)."""
+    rng, drawn = random.Random(2026), 0
+    while True:
+        poset = random_poset(rng, 10, 0.9)
+        if 1 <= poset.kappa() <= 3:
+            inst = random_completion_instance(rng, 10, 3, poset)
+            drawn += 1
+            if drawn == 27:
+                return inst
+
+
 def group_spans_ok(instance: Instance, matching, bound: int) -> bool:
     """Every consecutive-position gap within each group is at most bound."""
     pos = instance.lpo().position
@@ -266,18 +280,24 @@ def reference_lpo_order(pairs, n: int) -> tuple:
     return tuple(order)
 
 
+def reference_acceptable_groups(instance: Instance) -> list:
+    """Every d-set that each of its members accepts, by the definition."""
+    return [
+        g
+        for g in combinations(range(instance.n), instance.d)
+        if all(instance.acceptable(a, tuple(x for x in g if x != a)) for a in g)
+    ]
+
+
 def plain_find_blocking(instance: Instance, m):
-    """The least blocking group by the plain scan: is_blocking over every
-    group in index order (the acceptable groups when incomplete)."""
+    """The least blocking group by the plain scan: is_blocking, which
+    refuses a group some member does not accept, over every d-set in index
+    order."""
     problems = matching_violations(instance, m)
     if problems:
         raise ValidationError("; ".join(problems))
     partners = _partner_map(instance, m)
-    if instance.is_complete:
-        groups = itertools.combinations(range(instance.n), instance.d)
-    else:
-        groups = _acceptable_groups(instance)
-    for group in groups:
+    for group in combinations(range(instance.n), instance.d):
         report = is_blocking(instance, m, group, partners)
         if report is not None:
             return report
@@ -490,6 +510,19 @@ def reference_sliding_dp(instance: Instance, k: int, s: int) -> Optional[Matchin
     )
 
 
+def is_derived_from_master_list(instance: Instance, master, agents=None) -> bool:
+    """True iff each agent's list (of the given agents, else of all) equals
+    the master list with the sets containing the agent deleted."""
+    lists = instance.lists
+    if lists is None:
+        raise ValidationError("explicit per-agent lists are required")
+    master = [tuple(t) for t in master]
+    for a in range(instance.n) if agents is None else agents:
+        if lists[a] != tuple(t for t in master if a not in t):
+            return False
+    return True
+
+
 # The derivation check and strict-order recovery as they stood before the
 # single-swap rule, kept verbatim as references for the differential test.
 def reference_is_derived_from_poset(
@@ -652,10 +685,31 @@ def reference_tie_role_map(i: int, j: int) -> dict:
     return roles
 
 
+def reference_smti_names(smti: SmtiInstance) -> list[str]:
+    """The reduction's agent names in master order: the d agents per tie
+    by (man, woman), the a and b agents, then per woman and man the c agent
+    of an edge, or both c agents and the cp agent of a tie, then the x agents."""
+    n = smti.n
+    ties_of = [smti.man_ties(i) for i in range(n)]
+    gadgets = sorted((i, j) for i in range(n) for j in ties_of[i])
+    names = [f"d{p}[{i + 1},{j + 1}]" for i, j in gadgets for p in range(1, 9)]
+    names += [f"a[{i + 1}]" for i in range(n)]
+    names += [f"b[{j + 1}]" for j in range(n)]
+    for j in range(n):
+        for i, ties in enumerate(ties_of):
+            if j in ties:
+                names.append(f"c[{i + 1},{j + 1}]")
+                names.append(f"c[{i + 1},{j + 2}]")
+                names.append(f"cp[{i + 1},{j + 1}]")
+            elif (i, j) in smti.acceptable and j - 1 not in ties:
+                names.append(f"c[{i + 1},{j + 1}]")
+    names += [f"x{q}[{i + 1}]" for i in range(n) for q in range(2, 7)]
+    return names
+
+
 def reference_smti_reduce(smti: SmtiInstance) -> SmtiReduction:
     n = smti.n
-    names = _smti_names(smti)
-    order = Poset.from_ranking(list(range(len(names))))
+    names = reference_smti_names(smti)
 
     triples: list[tuple[str, str, str]] = []
     for i, j in sorted(smti.acceptable):
@@ -718,7 +772,7 @@ def reference_smti_reduce(smti: SmtiInstance) -> SmtiReduction:
         pairs = {tuple(sorted(set(t) - {a})) for t in triples if a in t}
         lists[a] = [list(p) for p in sorted(pairs, key=key)]
     instance = Instance.explicit(3, names, lists)
-    return SmtiReduction(smti, instance, order)
+    return SmtiReduction(smti, instance)
 
 
 def reference_smti_forward(reduction: SmtiReduction, matching: dict) -> Matching:

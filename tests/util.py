@@ -27,7 +27,7 @@ from mdsr.errors import (
     ParseError,
     ValidationError,
 )
-from mdsr.reductions import OneInThreeFormula, SatReduction, _sat_names
+from mdsr.reductions import OneInThreeFormula, SatReduction
 from mdsr.smti import (
     CUTOFF_PAIR_ORDER,
     CUTOFF_TRIPLES,
@@ -825,10 +825,26 @@ def reference_smti_forward(reduction: SmtiReduction, matching: dict) -> Matching
     return normalize_matching(groups)
 
 
+def reference_sat_names(formula: OneInThreeFormula) -> list[str]:
+    """The agent names in master order, spelt out here so that the
+    reference does not share the layout of the code it checks."""
+    names = []
+    for j in range(1, formula.n_clauses + 1):
+        names.append(f"c[{j}]")
+        names.append(f"d[{j}]")
+    for i in range(1, formula.n_vars + 1):
+        for k in (1, 2, 3):
+            names.append(f"x[{i},{k}]")
+        for k in (1, 2, 3):
+            for p in range(1, 7):
+                names.append(f"z[{i},{k},{p}]")
+    return names
+
+
 def reference_sat_reduce(formula: OneInThreeFormula) -> SatReduction:
     """Build the master-list instance; it has a stable matching exactly
     when the formula has a solution."""
-    names = _sat_names(formula)
+    names = reference_sat_names(formula)
     index = {name: i for i, name in enumerate(names)}
 
     slot_occurrence = {}

@@ -11,8 +11,8 @@ import sys
 from functools import cache
 from typing import Optional
 
-from .core import MasterPoset
-from .errors import MdsrError, ParseError, TooLarge
+from .core import MasterPoset, matching_violations
+from .errors import MdsrError, NotWellFormed, ParseError, TooLarge
 from .io import (
     named_groups,
     parse_instance,
@@ -211,6 +211,8 @@ def _cmd_reduce_smti(args, out) -> int:
         return EXIT_OK
     if args.extract is not None:
         matching = parse_matching(_read(args.extract), reduction.instance)
+        if problems := matching_violations(reduction.instance, matching):
+            raise NotWellFormed("; ".join(problems))
         marriage = smti_backward(reduction, matching)
         out.write(serialize_marriage(marriage))
         return EXIT_OK

@@ -189,13 +189,13 @@ def parse_smti_document(text: str) -> SmtiInstance:
 
 
 def parse_marriage(text: str) -> dict:
-    """A JSON list of [man, woman] pairs, as a man -> woman dict."""
+    """A JSON list of [man, woman] pairs, one per man, as a man -> woman dict."""
     pairs = _load(text)
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
         for p in pairs
-    ):
-        raise ParseError("a marriage matching is a list of [man, woman] integer pairs")
+    ) or len({p[0] for p in pairs}) < len(pairs):
+        raise ParseError("a marriage matching is a list of [man, woman] integer pairs, one per man")
     return {i - 1: j - 1 for i, j in pairs}
 
 

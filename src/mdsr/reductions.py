@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from .core import Instance, MasterListSets, Matching, normalize_matching, tupleset
+from .core import (
+    Instance,
+    MasterListSets,
+    Matching,
+    matching_violations,
+    normalize_matching,
+    tupleset,
+)
 from .errors import (
     InvalidAssignment,
     MalformedFormula,
@@ -129,9 +136,10 @@ def parse_formula(text: str) -> OneInThreeFormula:
 class SatReduction:
     """A triple-roommates instance encoding a formula.
 
-    Agents: c[j], d[j] per clause; x[i,k] per variable occurrence;
-    z[i,k,1..6] auxiliary agents per occurrence (69 agents for a formula
-    with 3 clauses and 3 variables).
+    Agents, in index order with m clauses: c[j] at 2j - 2 and d[j] at
+    2j - 1; then per variable i a block of 21 from 2m + 21(i - 1): x[i,1..3]
+    for its occurrences, then z[i,k,p] at x[i,1] + 6k + p - 4 for p = 1..6
+    (69 agents for a formula with 3 clauses and 3 variables).
     """
 
     formula: OneInThreeFormula
@@ -141,25 +149,29 @@ class SatReduction:
 
 
 def _sat_names(formula: OneInThreeFormula) -> list[str]:
-    names = []
-    for j in range(1, formula.n_clauses + 1):
-        names.append(f"c[{j}]")
-        names.append(f"d[{j}]")
+    """The agent names in index order, as `_c` and `_x` place them."""
+    names = [f"{a}[{j}]" for j in range(1, formula.n_clauses + 1) for a in "cd"]
     for i in range(1, formula.n_vars + 1):
-        for k in (1, 2, 3):
-            names.append(f"x[{i},{k}]")
-        for k in (1, 2, 3):
-            for p in range(1, 7):
-                names.append(f"z[{i},{k},{p}]")
+        names += [f"x[{i},{k}]" for k in (1, 2, 3)]
+        names += [f"z[{i},{k},{p}]" for k in (1, 2, 3) for p in range(1, 7)]
     return names
+
+
+def _c(j: int) -> int:
+    """The index of c[j]; d[j] is the next one."""
+    return 2 * j - 2
+
+
+def _x(m: int, i: int, k: int, p: int = 0) -> int:
+    """The index of x[i,k] for p = 0, else of z[i,k,p], with m clauses."""
+    x1 = 2 * m + 21 * (i - 1)
+    return x1 + (k - 1 if p == 0 else 6 * k + p - 4)
 
 
 def sat_reduce(formula: OneInThreeFormula) -> SatReduction:
     """Build the master-list instance; it has a stable matching exactly
     when the formula has a solution."""
-    names = _sat_names(formula)
-    index = {name: i for i, name in enumerate(names)}
-
+    m, names = formula.n_clauses, _sat_names(formula)
     slot_occurrence = {}
     seen = {i: 0 for i in range(1, formula.n_vars + 1)}
     for j, clause in enumerate(formula.clauses, 1):
@@ -167,45 +179,21 @@ def sat_reduce(formula: OneInThreeFormula) -> SatReduction:
             seen[v] += 1
             slot_occurrence[(j, l)] = (v, seen[v])
 
-    def c(j):
-        return index[f"c[{j}]"]
-
-    def d(j):
-        return index[f"d[{j}]"]
-
-    def x(i, k):
-        return index[f"x[{i},{k}]"]
-
-    def z(i, k, p):
-        return index[f"z[{i},{k},{p}]"]
-
-    def y(j, l):
-        return x(*slot_occurrence[(j, l)])
-
     master: list[tuple[int, int]] = []
-    for j in range(1, formula.n_clauses + 1):
-        master += [
-            (c(j), d(j)),
-            (y(j, 1), d(j)),
-            (y(j, 3), c(j)),
-            (y(j, 2), d(j)),
-            (y(j, 2), c(j)),
-            (y(j, 3), d(j)),
-            (y(j, 1), c(j)),
-        ]
+    for j in range(1, m + 1):
+        c, d = _c(j), _c(j) + 1
+        y1, y2, y3 = (_x(m, *slot_occurrence[(j, l)]) for l in (1, 2, 3))
+        master += [(c, d), (y1, d), (y3, c), (y2, d), (y2, c), (y3, d), (y1, c)]
     for i in range(1, formula.n_vars + 1):
-        master += [
-            (x(i, 1), x(i, 2)),
-            (x(i, 2), x(i, 3)),
-            (x(i, 1), x(i, 3)),
-        ]
+        x1, x2, x3 = (_x(m, i, k) for k in (1, 2, 3))
+        master += [(x1, x2), (x2, x3), (x1, x3)]
         for k in (1, 2, 3):
             # The six-agent unsolvable pattern on x[i,k] and z[i,k,1..5],
             # then the pairs with z[i,k,6] at the tail.
-            six = (x(i, k),) + tuple(z(i, k, p) for p in range(1, 6))
+            six = tuple(_x(m, i, k, p) for p in range(6))
             role = dict(zip(INSTABLE_NAMES, six))
             master += [(role[u], role[v]) for u, v in INSTABLE_MASTER]
-            master += [(a, z(i, k, 6)) for a in six]
+            master += [(a, _x(m, i, k, 6)) for a in six]
     head = [tupleset(p) for p in master]
     placed = set(head)
     rest = (p for p in combinations(range(len(names)), 2) if p not in placed)
@@ -213,9 +201,7 @@ def sat_reduce(formula: OneInThreeFormula) -> SatReduction:
     return SatReduction(formula, instance, slot_occurrence)
 
 
-def sat_forward_matching(
-    reduction: SatReduction, true_vars: Iterable[int]
-) -> Matching:
+def sat_forward_matching(reduction: SatReduction, true_vars: Iterable[int]) -> Matching:
     """The stable matching encoding a solution: each clause grouped with
     its true occurrence, false variables grouped among their occurrences,
     auxiliary agents in fixed triples."""
@@ -225,46 +211,36 @@ def sat_forward_matching(
         raise InvalidAssignment(
             "assignment does not make exactly one variable per clause true"
         )
-    inst = reduction.instance
-    idx = inst.index
+    m = formula.n_clauses
     groups = []
     for j, clause in enumerate(formula.clauses, 1):
         l = next(l for l, v in enumerate(clause, 1) if v in true_vars)
-        i, k = reduction.slot_occurrence[(j, l)]
-        groups.append((idx(f"c[{j}]"), idx(f"d[{j}]"), idx(f"x[{i},{k}]")))
+        groups.append((_c(j), _c(j) + 1, _x(m, *reduction.slot_occurrence[(j, l)])))
     for i in range(1, formula.n_vars + 1):
         if i not in true_vars:
-            groups.append(tuple(idx(f"x[{i},{k}]") for k in (1, 2, 3)))
+            groups.append(tuple(_x(m, i, k) for k in (1, 2, 3)))
         for k in (1, 2, 3):
-            groups.append(tuple(idx(f"z[{i},{k},{p}]") for p in (1, 2, 3)))
-            groups.append(tuple(idx(f"z[{i},{k},{p}]") for p in (4, 5, 6)))
+            groups.append(tuple(_x(m, i, k, p) for p in (1, 2, 3)))
+            groups.append(tuple(_x(m, i, k, p) for p in (4, 5, 6)))
     return normalize_matching(groups)
 
 
-def sat_backward_assignment(
-    reduction: SatReduction, matching: Matching
-) -> frozenset[int]:
+def sat_backward_assignment(reduction: SatReduction, matching: Matching) -> frozenset[int]:
     """Recover the solution from a stable matching: a variable is true
     exactly when all three of its occurrence agents sit with clause
-    pairs."""
-    formula = reduction.formula
-    inst = reduction.instance
-    idx = inst.index
-    partner = {}
-    for g in matching:
-        for a in g:
-            partner[a] = set(g) - {a}
-    clause_pairs = {
-        frozenset((idx(f"c[{j}]"), idx(f"d[{j}]")))
-        for j in range(1, formula.n_clauses + 1)
-    }
+    pairs, that is, in the group of some c[j] that also holds d[j].  In
+    disjoint triples this is the partner-set rule: x's two partners are
+    {c[j], d[j]} iff x shares c[j]'s group and that group holds d[j]."""
+    formula, m = reduction.formula, reduction.formula.n_clauses
+    if problems := matching_violations(reduction.instance, matching):
+        raise NotWellFormed("; ".join(problems))
+    group = {a: g for g in matching for a in g}
+    clauses = [(j, group.get(_c(j), ())) for j in range(1, m + 1)]
+    unpaired = [j for j, g in clauses if _c(j) + 1 not in g]
+    paired = {a for j, g in clauses if _c(j) + 1 in g for a in g}
     true_vars = set()
     for i in range(1, formula.n_vars + 1):
-        with_clause = [
-            k
-            for k in (1, 2, 3)
-            if frozenset(partner.get(idx(f"x[{i},{k}]"), ())) in clause_pairs
-        ]
+        with_clause = [k for k in (1, 2, 3) if _x(m, i, k) in paired]
         if with_clause and len(with_clause) != 3:
             raise NotWellFormed(
                 f"variable {i}: occurrences {with_clause} sit with clause "
@@ -272,10 +248,8 @@ def sat_backward_assignment(
             )
         if len(with_clause) == 3:
             true_vars.add(i)
-    for j in range(1, formula.n_clauses + 1):
-        pj = partner.get(idx(f"c[{j}]"))
-        if pj is None or idx(f"d[{j}]") not in pj:
-            raise NotWellFormed(f"clause {j}: c and d are not grouped together")
+    if unpaired:
+        raise NotWellFormed(f"clause {unpaired[0]}: c and d are not grouped together")
     if not formula.is_solution(true_vars):
         raise NotWellFormed("recovered assignment is not a solution")
     return frozenset(true_vars)

@@ -265,15 +265,12 @@ def _smti_names(smti: SmtiInstance) -> list[str]:
     """The agent names in master order: the d agents by (man, woman), the
     a and b agents, the c and cp agents by woman and then man, the x agents."""
     n, placed = smti.n, list(_gadgets(smti))
-    names = [f"d{p}[{i + 1},{j + 1}]" for i, j, g in placed if g is _TIE for p in range(1, 9)]
-    names += [f"a[{i + 1}]" for i in range(n)]
-    names += [f"b[{j + 1}]" for j in range(n)]
+    layout = [(i, j, [f"D{p}" for p in range(1, 9)]) for i, j, g in placed if g is _TIE]
+    layout += [(i, i, ["A"]) for i in range(n)] + [(j, j, ["B"]) for j in range(n)]
     for i, j, g in sorted(placed, key=lambda t: (t[1], t[0])):
-        names.append(f"c[{i + 1},{j + 1}]")
-        if g is _TIE:
-            names += [f"c[{i + 1},{j + 2}]", f"cp[{i + 1},{j + 1}]"]
-    names += [f"x{q}[{i + 1}]" for i in range(n) for q in range(2, 7)]
-    return names
+        layout.append((i, j, ["C", "C1", "CP"] if g is _TIE else ["C"]))
+    layout += [(i, 0, [f"X{q}" for q in range(2, 7)]) for i in range(n)]
+    return [_roles(i, j)[r] for i, j, roles in layout for r in roles]
 
 
 def smti_reduce(smti: SmtiInstance) -> SmtiReduction:
@@ -316,18 +313,19 @@ def smti_backward(reduction: SmtiReduction, matching: Matching) -> dict:
     """Recover the perfect stable marriage matching from a stable
     roommates matching: man i is married to the woman whose agent shares
     his group."""
-    inst = reduction.instance
+    inst, people = reduction.instance, range(reduction.smti.n)
+    man = {inst.index(_roles(i, i)["A"]): i for i in people}
+    woman = {inst.index(_roles(j, j)["B"]): j for j in people}
     recovered = {}
     for g in matching:
-        names = [inst.names[a] for a in g]
-        men = [x for x in names if x.startswith("a[")]
-        women = [x for x in names if x.startswith("b[")]
+        men = [man[a] for a in g if a in man]
+        women = [woman[a] for a in g if a in woman]
         if not men:
             continue
         if len(men) != 1 or len(women) != 1:
+            names = [inst.names[a] for a in g]
             raise NotWellFormed(f"group {names} pairs no single man and woman")
-        i = int(men[0][2:-1]) - 1
-        j = int(women[0][2:-1]) - 1
+        i, j = men[0], women[0]
         if i in recovered:
             raise NotWellFormed(f"man {i} appears in two groups")
         recovered[i] = j

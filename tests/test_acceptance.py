@@ -28,6 +28,7 @@ from mdsr import (
     cutoff_gadget_instance,
     verify_lpo,
 )
+from mdsr import solvers
 from mdsr.reductions import OneInThreeFormula
 from mdsr.smti import SmtiInstance
 
@@ -80,7 +81,10 @@ def test_criterion_2_strict_chains():
     report("criterion 2 (strict orders: unique consecutive blocks)", ok)
 
 
-def test_criterion_3_dp_matches_brute_force():
+def test_criterion_3_dp_matches_brute_force(monkeypatch):
+    slides = []
+    sliding_dp = solvers._sliding_dp
+    monkeypatch.setattr(solvers, "_sliding_dp", lambda *a: slides.append(a) or sliding_dp(*a))
     start = time.monotonic()
     rng = random.Random(42)
     ok = True
@@ -103,7 +107,12 @@ def test_criterion_3_dp_matches_brute_force():
         if got is not None:
             ok = ok and find_blocking(inst, got) is None
             ok = ok and group_spans_ok(inst, got, locality_bound(kappa, 3))
+        # the default window searches exactly; one below n - 1 slides
+        slid = fpt_dp_solve(inst, window_size=n - 2, span=n - 2)
+        ok = ok and (want is None) == (slid is None)
+        ok = ok and (slid is None or find_blocking(inst, slid) is None)
         checked += 1
+    ok = ok and len(slides) == 200
     # a frozen instance where the answer is provably "no"
     ok = ok and fpt_dp_solve(nostable_poset_instance()) is None
     ok = ok and time.monotonic() - start < 60.0

@@ -14,7 +14,10 @@ from mdsr import (
     brute_force_solve,
     fpt_dp_solve,
     greedy_big_d_solve,
+    parse_formula,
     parse_instance,
+    sat_forward_matching,
+    sat_reduce,
     serialize_instance,
     serialize_matching,
     strict_order_solve,
@@ -524,6 +527,9 @@ def test_reduce_smti_round_trip(tmp_path):
         ["smti", "--input", "float_pair.json"],
         ["smti", "--input", "float_tie_start.json"],
         ["smti", "--input", "float_n.json"],
+        ["smti", "--input", "two_couples.json", "--matching", "man_twice.json", "--emit-matching"],
+        ["smti", "--input", "smti.json", "--extract", "pair_group.json"],
+        ["sat", "--formula", "formula.txt", "--extract", "overlap.json"],
     ],
     ids=[
         "three-element-acceptable",
@@ -533,6 +539,9 @@ def test_reduce_smti_round_trip(tmp_path):
         "float-acceptable",
         "float-tie-start",
         "float-n",
+        "marriage-man-twice",
+        "smti-extract-not-a-matching",
+        "sat-extract-overlapping-groups",
     ],
 )
 def test_malformed_reduce_input_exits_2(tmp_path, monkeypatch, capsys, argv):
@@ -549,7 +558,17 @@ def test_malformed_reduce_input_exits_2(tmp_path, monkeypatch, capsys, argv):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     (tmp_path / "not_json.txt").write_text("[[1, 1]")
     (tmp_path / "not_pairs.json").write_text("[1, 1]")
-    (tmp_path / "formula.txt").write_text("p oit3 3 3\n1 2 3\n1 2 3\n1 2 3\n")
+    two = dict(smti, n=2, acceptable=[[1, 1], [1, 2], [2, 1], [2, 2]])
+    (tmp_path / "two_couples.json").write_text(json.dumps(two))
+    (tmp_path / "man_twice.json").write_text("[[1, 2], [1, 1], [2, 2]]")
+    (tmp_path / "pair_group.json").write_text('{"version": "1", "groups": [["a[1]", "b[1]"]]}')
+    formula = "p oit3 3 3\n1 2 3\n1 2 3\n1 2 3\n"
+    (tmp_path / "formula.txt").write_text(formula)
+    # the forward matching of {1} with one more group over agents it places
+    reduction = sat_reduce(parse_formula(formula))
+    inst = reduction.instance
+    overlap = sat_forward_matching(reduction, {1}) + (inst.agents("x[2,1]", "x[3,1]", "z[1,1,1]"),)
+    (tmp_path / "overlap.json").write_text(serialize_matching(inst, overlap))
     code, text = invoke(["reduce"] + argv)
     assert (code, text) == (2, "")
     assert capsys.readouterr().err.startswith("error: ")

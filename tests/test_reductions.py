@@ -164,6 +164,13 @@ def test_sat_backward_rejects_malformed_matchings():
         sat_backward_assignment(reduction, normalize_matching(broken))
     with pytest.raises(NotWellFormed, match="clause 1: c and d are not grouped together"):
         sat_backward_assignment(reduction, ())
+    # not a matching: a group over agents the forward matching already places,
+    # or a group of two
+    m = sat_forward_matching(reduction, {1})
+    with pytest.raises(NotWellFormed, match="appear in multiple groups"):
+        sat_backward_assignment(reduction, m + (inst.agents("x[2,1]", "x[3,1]", "z[1,1,1]"),))
+    with pytest.raises(NotWellFormed, match="is not a 3-set"):
+        sat_backward_assignment(reduction, normalize_matching([inst.agents("c[1]", "d[1]")]))
     # every clause pair grouped with an auxiliary agent: no variable is true
     m = normalize_matching(inst.agents(f"c[{j}]", f"d[{j}]", f"z[1,1,{j}]") for j in (1, 2, 3))
     with pytest.raises(NotWellFormed, match="not a solution"):
